@@ -28,7 +28,7 @@ from .channel import (
 )
 from .config import ConfigError, ScenarioConfig, SweepSpec, apply_axis, load_config
 from .optimize import OptimizeResult, optimize_sensed_bands
-from .sensing import SensingParams, decision_probability, sense
+from .sensing import SensingParams
 from .simulate import (
     BoundaryCheck,
     BoundaryRun,
@@ -70,7 +70,6 @@ __all__ = [
     "analyze",
     "apply_axis",
     "boundary_check",
-    "decision_probability",
     "empty_probability",
     "load_config",
     "optimize_sensed_bands",
@@ -79,7 +78,6 @@ __all__ = [
     "run",
     "secondary_service_rate",
     "secondary_service_rate_oracle",
-    "sense",
     "sensing_fraction",
     "single_band_service_rate",
     "stability_region",

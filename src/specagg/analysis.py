@@ -3,15 +3,25 @@
 The secondary user is analyzed in its saturated (always-backlogged) form,
 which upper-bounds the real system and shares its stability boundary, so
 the saturated service rate is also the maximum stable arrival rate.
+
+Each band independently falls into one of four cases: idle and declared
+idle, a = pi (1 - p_fa); idle and falsely declared busy, pi p_fa; busy and
+detected, c = (1 - pi)(1 - p_md); busy and missed, (1 - pi) p_md.  A slot
+serves the secondary only when no band is busy and missed, so both closed
+forms reduce to binomial sums in a, b = pi p_fa + c and c.  mu_s costs
+O(m) and the single-band baseline O(1); both stay finite for m_bands in
+the thousands, and the sensed-band optimizer, which evaluates mu_s at
+m = 1..M, costs O(M**2).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
 from .channel import ChannelParams, pu_success_prob, su_success_prob
-from .sensing import SensingParams, binomial, decision_probability
+from .sensing import SensingParams
 
 __all__ = [
     "TrafficParams",
@@ -102,27 +112,43 @@ def empty_probability(mu_p: float, traffic: TrafficParams) -> float:
     return 1.0 - traffic.lambda_p / mu_p
 
 
+def _idle_and_detected(
+    channel: ChannelParams, sensing: SensingParams, traffic: TrafficParams
+) -> tuple[float, float]:
+    """pi, and c = (1 - pi)(1 - p_md), the probability a band is busy and detected."""
+    pi = empty_probability(primary_service_rate(channel, sensing), traffic)
+    return pi, (1.0 - pi) * (1.0 - sensing.p_md)
+
+
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
 def secondary_service_rate(
     channel: ChannelParams, sensing: SensingParams, traffic: TrafficParams
 ) -> float:
     """Mean service rate of the saturated secondary user.
 
-    Sums over the number of truly idle bands and, within that, the number
-    declared idle: service occurs when at least one idle band is declared
-    idle, every busy band is detected, and the aggregate-width channel
-    draw succeeds.
+    mu_s = sum_{n=1..m} C(m, n) a**n b**(m-n) s(n): exactly n bands are
+    idle and declared idle, every other band is declared busy (so no busy
+    band was missed), and the channel draw over the n-band aggregate
+    succeeds with s(n) = su_success_prob(channel, n).  O(m) work.  The
+    weights are formed in log space, so none of C(m, n), a**n or b**(m-n)
+    overflows or underflows on its own; a zero a or b gives its terms
+    their exact value 0 (or 1 for a zero power).
     """
     m = channel.m_bands
-    pi = empty_probability(primary_service_rate(channel, sensing), traffic)
+    pi, c = _idle_and_detected(channel, sensing, traffic)
+    log_a = _log(pi * (1.0 - sensing.p_fa))
+    log_b = _log(pi * sensing.p_fa + c)
+    log_m_factorial = math.lgamma(m + 1)
     total = 0.0
-    for eta in range(1, m + 1):
-        occupancy = binomial(m, eta) * pi**eta * (1.0 - pi) ** (m - eta)
-        inner = 0.0
-        for n in range(1, eta + 1):
-            inner += decision_probability(eta, n, True, sensing, m) * su_success_prob(
-                channel, n
-            )
-        total += occupancy * inner
+    for n in range(1, m + 1):
+        log_weight = log_m_factorial - math.lgamma(n + 1) - math.lgamma(m - n + 1)
+        log_weight += n * log_a
+        if n < m:
+            log_weight += (m - n) * log_b
+        total += math.exp(log_weight) * su_success_prob(channel, n)
     return total
 
 
@@ -196,18 +222,24 @@ def single_band_service_rate(
     The secondary transmits on one declared-idle band (any one: bands are
     statistically identical) with its full slot power concentrated there,
     so PSD and LIMITED modes coincide.  Service needs every busy band
-    detected and at least one idle band declared idle.
+    detected and at least one idle band declared idle:
+    s(1) [(pi + c)**m - b**m], with a, b and c as in the module docstring.
+    O(1) work.  The difference is taken as
+    (pi + c)**m (1 - (1 - a / (pi + c))**m) through expm1/log1p, so it
+    keeps its relative accuracy when p_fa is near 1.
     """
     m = channel.m_bands
-    pi = empty_probability(primary_service_rate(channel, sensing), traffic)
+    pi, c = _idle_and_detected(channel, sensing, traffic)
+    a = pi * (1.0 - sensing.p_fa)
+    if a == 0.0:
+        return 0.0  # no band is ever idle and declared idle
+    idle_or_detected = pi + c
+    if a == idle_or_detected:
+        share = 1.0  # b is 0
+    else:
+        share = -math.expm1(m * math.log1p(-a / idle_or_detected))
     one_band = su_success_prob(channel, 1)  # width 1: both power modes agree
-    total = 0.0
-    for eta in range(1, m + 1):
-        occupancy = binomial(m, eta) * pi**eta * (1.0 - pi) ** (m - eta)
-        detect_all = (1.0 - sensing.p_md) ** (m - eta)
-        some_declared = 1.0 - sensing.p_fa**eta
-        total += occupancy * detect_all * some_declared * one_band
-    return total
+    return one_band * idle_or_detected**m * share
 
 
 def analyze(

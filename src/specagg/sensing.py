@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["SensingParams", "sense", "decision_probability", "binomial"]
+__all__ = ["SensingParams"]
 
 
 @dataclass(frozen=True)
@@ -25,53 +23,3 @@ class SensingParams:
             raise ValueError(f"p_fa must be in [0, 1], got {self.p_fa}")
         if not 0.0 <= self.p_md <= 1.0:
             raise ValueError(f"p_md must be in [0, 1], got {self.p_md}")
-
-
-def sense(bands, params: SensingParams, rng: np.random.Generator) -> np.ndarray:
-    """Draw one idle/busy declaration per band, independently across bands.
-
-    bands[m] is True when band m carries a primary transmission this slot.
-    Returns a boolean vector that is True where the band is declared idle:
-    with probability p_md for a busy band, 1 - p_fa for an idle one.
-    """
-    bands = np.asarray(bands, dtype=bool)
-    u = rng.random(bands.shape[0])
-    return np.where(bands, u < params.p_md, u < 1.0 - params.p_fa)
-
-
-def binomial(n: int, k: int) -> float:
-    """n choose k as a float, accumulated multiplicatively (safe to n ~ 200)."""
-    if k < 0 or k > n:
-        return 0.0
-    k = min(k, n - k)
-    out = 1.0
-    for i in range(k):
-        out = out * (n - i) / (i + 1)
-    return out
-
-
-def decision_probability(
-    eta_free: int,
-    n_declared_free: int,
-    all_busy_detected: bool,
-    params: SensingParams,
-    m_bands: int,
-) -> float:
-    """Probability of one aggregate sensing outcome on a slot with eta_free idle bands.
-
-    The outcome is: exactly n_declared_free of the eta_free idle bands are
-    declared idle, and the m_bands - eta_free busy bands are either all
-    detected (all_busy_detected=True) or not all detected (False).
-    """
-    if not 0 <= n_declared_free <= eta_free <= m_bands:
-        raise ValueError(
-            "need 0 <= n_declared_free <= eta_free <= m_bands, got "
-            f"n={n_declared_free}, eta={eta_free}, m={m_bands}"
-        )
-    idle_part = (
-        binomial(eta_free, n_declared_free)
-        * (1.0 - params.p_fa) ** n_declared_free
-        * params.p_fa ** (eta_free - n_declared_free)
-    )
-    detect_all = (1.0 - params.p_md) ** (m_bands - eta_free)
-    return idle_part * (detect_all if all_busy_detected else 1.0 - detect_all)

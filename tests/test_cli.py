@@ -19,20 +19,20 @@ TINY = {
 
 ANALYZE_GOLDEN = (
     "mu_p,pi,mu_s,primary_stable,secondary_stable\n"
-    "0.6400000000000001,0.5000000000000001,0.3577129996714642,true,true\n"
+    "0.6400000000000001,0.5000000000000001,0.35771299967146414,true,true\n"
 )
 
 SWEEP_GOLDEN = (
     "axis_value,status,mu_p,pi,mu_s_analytical,mu_s_simulated,std_err,m_opt\n"
     "0.0,ok,0.6400000000000001,1.0,0.7080095554555206,,,2\n"
-    "0.32,ok,0.6400000000000001,0.5000000000000001,0.3577129996714642,,,2\n"
+    "0.32,ok,0.6400000000000001,0.5000000000000001,0.35771299967146414,,,2\n"
     "0.7,skipped,,,,,,\n"
 )
 
 COMPARE_GOLDEN = (
     "axis_value,status,mu_s_psd,mu_s_limited,mu_s_single_band\n"
-    "0.0,ok,0.7080095554555206,0.561338975288932,0.4969541797208559\n"
-    "0.32,ok,0.3577129996714642,0.32104535462981704,0.304949155737798\n"
+    "0.0,ok,0.7080095554555206,0.5613389752889318,0.4969541797208559\n"
+    "0.32,ok,0.35771299967146414,0.3210453546298169,0.304949155737798\n"
     "0.7,skipped,,,\n"
 )
 
@@ -74,7 +74,7 @@ def test_csv_floats_round_trip(tiny_config, capsys):
     main(["analyze", "--config", tiny_config])
     header, row = capsys.readouterr().out.splitlines()
     values = dict(zip(header.split(","), row.split(",")))
-    assert float(values["mu_s"]) == 0.3577129996714642
+    assert float(values["mu_s"]) == 0.35771299967146414
     assert float(values["pi"]) == 0.5000000000000001
 
 
@@ -206,7 +206,7 @@ def test_simulate_csv_includes_analytical_columns(tiny_config, capsys):
     columns = dict(zip(header.split(","), row.split(",")))
     assert columns["mode"] == "DOMINANT"
     assert columns["slots"] == "3000"
-    assert float(columns["mu_s_analytical"]) == 0.3577129996714642
+    assert float(columns["mu_s_analytical"]) == 0.35771299967146414
     assert abs(float(columns["empirical_mu_s"]) - 0.3577) < 0.05
 
 

@@ -1,10 +1,19 @@
+"""Sensing parameters, and the per-band sensing draws the simulator makes.
+
+ProtocolStreams draws every sensing outcome the simulator uses: per band
+and slot, one uniform u, declared idle if busy when u < p_md and declared
+idle if idle when u < 1 - p_fa.  next_slot returns both outcomes as band
+bitmasks (sense_if_busy, sense_if_idle).
+"""
+
 import math
 
 import numpy as np
 import pytest
 
-from specagg import SensingParams, decision_probability, sense
-from specagg.sensing import binomial
+from specagg import ProtocolStreams, ScenarioConfig, SensingParams, TrafficParams
+
+from conftest import make_channel
 
 
 def test_sensing_params_validation():
@@ -14,97 +23,62 @@ def test_sensing_params_validation():
         SensingParams(p_fa=0.0, p_md=-0.1)
 
 
+def sensing_masks(p_fa, p_md, m_bands, slots, seed=0):
+    """(sense_if_busy, sense_if_idle) bitmasks of the first slots of a stream."""
+    scenario = ScenarioConfig(
+        channel=make_channel(m_bands=m_bands, k_antennas=1, tau_b_frac=0.0),
+        sensing=SensingParams(p_fa=p_fa, p_md=p_md),
+        traffic=TrafficParams(lambda_p=0.5, lambda_s=0.5),
+    )
+    streams = ProtocolStreams(scenario, seed)
+    return [streams.next_slot()[:2] for _ in range(slots)]
+
+
+def band_bits(masks, m_bands):
+    """(slots, bands) boolean matrix of a list of bitmasks."""
+    return np.array([[mask >> b & 1 for b in range(m_bands)] for mask in masks], bool)
+
+
 def test_sense_no_false_alarms_declares_all_idle():
-    rng = np.random.default_rng(0)
-    decisions = sense(np.zeros(64, dtype=bool), SensingParams(p_fa=0.0, p_md=0.3), rng)
-    assert decisions.all()
+    masks = sensing_masks(p_fa=0.0, p_md=0.3, m_bands=64, slots=200)
+    assert all(idle == (1 << 64) - 1 for _, idle in masks)
 
 
 def test_sense_perfect_detection_declares_all_busy():
-    rng = np.random.default_rng(0)
-    decisions = sense(np.ones(64, dtype=bool), SensingParams(p_fa=0.3, p_md=0.0), rng)
-    assert not decisions.any()
+    masks = sensing_masks(p_fa=0.3, p_md=0.0, m_bands=64, slots=200)
+    assert all(busy == 0 for busy, _ in masks)
 
 
 def test_sense_pair_of_idle_bands_both_declared_idle_rate():
     # 10^6 independent two-band slots; both declared idle with prob (1-p_fa)^2
-    rng = np.random.default_rng(123)
-    decisions = sense(np.zeros(2_000_000, dtype=bool), SensingParams(0.05, 0.0), rng)
-    frac = decisions.reshape(-1, 2).all(axis=1).mean()
+    masks = sensing_masks(p_fa=0.05, p_md=0.0, m_bands=2, slots=1_000_000, seed=123)
+    frac = sum(idle == 0b11 for _, idle in masks) / len(masks)
     assert abs(frac - 0.9025) <= 0.001
 
 
 def test_sense_marginals_at_a_million_draws():
-    rng = np.random.default_rng(7)
-    n = 1_000_000
-    params = SensingParams(p_fa=0.1, p_md=0.2)
-    busy_idle_rate = sense(np.ones(n, dtype=bool), params, rng).mean()
-    idle_idle_rate = sense(np.zeros(n, dtype=bool), params, rng).mean()
+    m, slots = 10, 100_000
+    masks = sensing_masks(p_fa=0.1, p_md=0.2, m_bands=m, slots=slots, seed=7)
+    busy_idle_rate = band_bits([busy for busy, _ in masks], m).mean()
+    idle_idle_rate = band_bits([idle for _, idle in masks], m).mean()
+    n = m * slots
     se_md = math.sqrt(0.2 * 0.8 / n)
     se_fa = math.sqrt(0.9 * 0.1 / n)
-    assert abs(busy_idle_rate - params.p_md) <= 3 * se_md
-    assert abs(idle_idle_rate - (1 - params.p_fa)) <= 3 * se_fa
+    assert abs(busy_idle_rate - 0.2) <= 3 * se_md
+    assert abs(idle_idle_rate - 0.9) <= 3 * se_fa
 
 
 def test_sense_applies_one_uniform_per_band_with_two_thresholds():
-    # the simulator pre-draws the same rule; pin the layout sense() uses
-    params = SensingParams(p_fa=0.2, p_md=0.3)
-    bands = np.array([True, False, True, True, False, False, True])
-    u = np.random.default_rng(9).random(len(bands))
-    expected = np.where(bands, u < params.p_md, u < 1.0 - params.p_fa)
-    got = sense(bands, params, np.random.default_rng(9))
-    assert (got == expected).all()
+    # the sensing streams are the third child of the seed, one per band
+    p_fa, p_md, m, slots, seed = 0.2, 0.3, 7, 500, 9
+    masks = sensing_masks(p_fa, p_md, m_bands=m, slots=slots, seed=seed)
+    band_seeds = np.random.SeedSequence(seed).spawn(3)[2].spawn(m)
+    u = np.array([np.random.default_rng(s).random(slots) for s in band_seeds]).T
+    assert (band_bits([busy for busy, _ in masks], m) == (u < p_md)).all()
+    assert (band_bits([idle for _, idle in masks], m) == (u < 1.0 - p_fa)).all()
 
 
 def test_sense_is_deterministic_under_a_seed():
-    params = SensingParams(0.2, 0.3)
-    bands = np.array([True, False, True, True, False])
-    a = sense(bands, params, np.random.default_rng(42))
-    b = sense(bands, params, np.random.default_rng(42))
-    assert (a == b).all()
-
-
-def test_decision_probability_examples():
-    assert decision_probability(1, 1, True, SensingParams(0.05, 0.0), 1) == pytest.approx(0.95)
-    assert decision_probability(2, 1, True, SensingParams(0.05, 0.0), 2) == pytest.approx(0.095)
-    assert decision_probability(0, 0, True, SensingParams(0.0, 0.05), 2) == pytest.approx(0.9025)
-
-
-def test_decision_probability_sums_to_detection_factor():
-    params = SensingParams(p_fa=0.17, p_md=0.23)
-    for m in range(1, 9):
-        for eta in range(0, m + 1):
-            total = sum(
-                decision_probability(eta, n, True, params, m) for n in range(eta + 1)
-            )
-            assert abs(total - (1 - params.p_md) ** (m - eta)) <= 1e-12
-
-
-def test_decision_probability_true_false_branches_partition():
-    params = SensingParams(p_fa=0.3, p_md=0.4)
-    for m in range(1, 7):
-        for eta in range(0, m + 1):
-            total = sum(
-                decision_probability(eta, n, detected, params, m)
-                for n in range(eta + 1)
-                for detected in (True, False)
-            )
-            assert abs(total - 1.0) <= 1e-12
-
-
-def test_decision_probability_count_violations():
-    params = SensingParams(0.1, 0.1)
-    with pytest.raises(ValueError):
-        decision_probability(2, 3, True, params, 4)  # n > eta
-    with pytest.raises(ValueError):
-        decision_probability(5, 1, True, params, 4)  # eta > m
-    with pytest.raises(ValueError):
-        decision_probability(2, -1, True, params, 4)
-
-
-def test_binomial_matches_exact_coefficients():
-    for n in range(0, 31):
-        for k in range(-1, n + 2):
-            expected = math.comb(n, k) if 0 <= k <= n else 0
-            assert binomial(n, k) == pytest.approx(expected, rel=1e-12)
-    assert binomial(200, 100) == pytest.approx(math.comb(200, 100), rel=1e-10)
+    a = sensing_masks(0.2, 0.3, m_bands=5, slots=1000, seed=42)
+    assert a == sensing_masks(0.2, 0.3, m_bands=5, slots=1000, seed=42)
+    assert a != sensing_masks(0.2, 0.3, m_bands=5, slots=1000, seed=43)
