@@ -1,14 +1,17 @@
 """Command-line front end: analyze, optimize, simulate, sweep, compare.
 
 Outputs are CSV (one header row, LF line endings, floats printed with
-shortest round-trip formatting) or JSON.  Exit codes: 0 success, 1 usage
-or configuration error, 2 runtime error.
+shortest round-trip formatting) or strict JSON, where a float that is not
+finite (such as std_err_mu_s of a run with fewer than 100 transmission
+opportunities) is null.  Exit codes: 0 success, 1 usage or configuration
+error, 2 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from enum import Enum
@@ -62,8 +65,19 @@ def _csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite_or_null(obj):
+    """obj with every NaN or infinite float replaced by None (JSON null)."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(_finite_or_null(obj), indent=2, allow_nan=False) + "\n"
 
 
 def _load_scenario(path) -> ScenarioConfig:

@@ -9,20 +9,40 @@ distribution is identical to sampling fading coefficients).  Departures are
 applied before arrivals, so a packet arriving in a slot cannot be served in
 that slot.
 
+run() executes blocks of slots as (bands, slots) arrays.  Let z_t say
+whether the secondary transmits in slot t when it declares some band idle.
+Given z, band b is served when its primary link succeeds and the secondary
+did not both misdetect it and transmit, so every primary queue follows its
+own Lindley recursion q_{t+1} = max(q_t - s_t, 0) + a_t: one cumsum and one
+maximum.accumulate per block.  Occupancy, the declared-idle set, the
+aggregate width, collisions and secondary successes follow from the queues,
+and the secondary backlog is a second Lindley recursion served by those
+successes.  DOMINANT mode has z = 1: one pass per block.  ORIGINAL mode has
+z_t = [q_s > 0 at the start of slot t], which the block itself determines,
+so it repeats the pass with z taken from the previous one until z stops
+changing.  Slot t of a pass depends only on z before t, so each pass
+settles at least one more slot and the fixed point is the causal run.  A
+block still unsettled after _MAX_PASSES passes takes z from _slot_core,
+slot by slot, so correctness never depends on how fast the passes settle.
+
+step() and _slot_core are the literal per-slot reference of the protocol,
+the way the enumeration oracle backs the closed form: the tests check run()
+against a loop of step() calls, field for field.
+
 Randomness discipline: one value is consumed from every stream on every
 slot, whether or not it ends up used, so runs sharing a seed see identical
-arrival/channel/sensing realizations in DOMINANT and ORIGINAL modes.
+arrival/channel/sensing realizations in DOMINANT and ORIGINAL modes, and
+run() (draw_block) and step() (next_slot) see the same draws.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,6 +60,7 @@ __all__ = [
     "BoundaryRun",
     "BoundaryCheck",
     "ProtocolStreams",
+    "SlotDraws",
     "step",
     "run",
     "boundary_check",
@@ -172,16 +193,33 @@ def _pack_slot_masks(bits: np.ndarray) -> list[int]:
     return masks if masks is not None else []
 
 
+class SlotDraws(NamedTuple):
+    """The draws of a run of consecutive slots, one column per slot.
+
+    The band draws are (bands, slots) boolean arrays; su_uniform holds one
+    float in [0, 1) per slot and secondary_arrival one boolean per slot.
+    """
+
+    sense_if_busy: np.ndarray
+    sense_if_idle: np.ndarray
+    pu_channel_ok: np.ndarray
+    su_uniform: np.ndarray
+    primary_arrivals: np.ndarray
+    secondary_arrival: np.ndarray
+
+
 class ProtocolStreams:
     """Deterministic named sub-streams with a fixed per-slot draw layout.
 
     One arrival stream per queue, one channel stream per link, one sensing
-    stream per band, all spawned from a single 64-bit-or-wider seed.  Each
-    call to next_slot consumes exactly one value from every stream and
-    returns the slot's draws as
+    stream per band, all spawned from a single 64-bit-or-wider seed.  Every
+    slot consumes exactly one value from every stream.  draw_block(n)
+    returns the next n slots as a SlotDraws; next_slot() returns one slot as
     (sense_if_busy, sense_if_idle, pu_channel_ok, su_uniform,
      primary_arrivals, secondary_arrival)
-    where the first three and primary_arrivals are band bitmasks.
+    where the first three and primary_arrivals are band bitmasks.  next_slot
+    buffers _CHUNK slots drawn by the same path, so a stream serves either
+    next_slot or draw_block; draw_block refuses to skip buffered slots.
     """
 
     _CHUNK = 1 << 15
@@ -210,31 +248,43 @@ class ProtocolStreams:
         self._pos = 0
         self._size = 0
 
-    def _refill(self) -> None:
-        n = self._CHUNK
+    def _draw(self, n: int) -> SlotDraws:
         m = self._m
+        u = np.empty(n)
         sense_busy = np.empty((m, n), dtype=bool)
         sense_idle = np.empty((m, n), dtype=bool)
-        for b, gen in enumerate(self._sensing_gens):
-            u = gen.random(n)
-            sense_busy[b] = u < self._p_md
-            sense_idle[b] = u < 1.0 - self._p_fa
-        self._sense_busy = _pack_slot_masks(sense_busy)
-        self._sense_idle = _pack_slot_masks(sense_idle)
-
         pu_ok = np.empty((m, n), dtype=bool)
+        arr_p = np.empty((m, n), dtype=bool)
         for b in range(m):
-            pu_ok[b] = self._channel_gens[b].random(n) < self._p_bar_p
-        self._pu_ok = _pack_slot_masks(pu_ok)
-        self._su_u = self._channel_gens[m].random(n).tolist()
+            self._sensing_gens[b].random(out=u)
+            np.less(u, self._p_md, out=sense_busy[b])
+            np.less(u, 1.0 - self._p_fa, out=sense_idle[b])
+            self._channel_gens[b].random(out=u)
+            np.less(u, self._p_bar_p, out=pu_ok[b])
+            self._arrival_gens[b].random(out=u)
+            np.less(u, self._lambda_p, out=arr_p[b])
+        su_u = self._channel_gens[m].random(n)
+        arr_s = self._arrival_gens[m].random(n) < self._lambda_s
+        return SlotDraws(sense_busy, sense_idle, pu_ok, su_u, arr_p, arr_s)
 
-        arrivals = np.empty((m, n), dtype=bool)
-        for b in range(m):
-            arrivals[b] = self._arrival_gens[b].random(n) < self._lambda_p
-        self._arr_p = _pack_slot_masks(arrivals)
-        self._arr_s = (self._arrival_gens[m].random(n) < self._lambda_s).tolist()
+    def draw_block(self, n: int) -> SlotDraws:
+        """The draws of the next n slots."""
+        if self._pos < self._size:
+            raise RuntimeError("draw_block() would skip slots buffered by next_slot()")
+        self.consumed += n
+        return self._draw(n)
+
+    def _refill(self) -> None:
+        (
+            self._sense_busy,
+            self._sense_idle,
+            self._pu_ok,
+            self._su_u,
+            self._arr_p,
+            self._arr_s,
+        ) = _slot_columns(self._draw(self._CHUNK))
         self._pos = 0
-        self._size = n
+        self._size = self._CHUNK
 
     def next_slot(self) -> tuple[int, int, int, float, int, bool]:
         if self._pos >= self._size:
@@ -250,6 +300,18 @@ class ProtocolStreams:
             self._arr_p[i],
             self._arr_s[i],
         )
+
+
+def _slot_columns(draws: SlotDraws) -> tuple[list, ...]:
+    """The draws as per-slot lists in next_slot() order, band sets as bitmasks."""
+    return (
+        _pack_slot_masks(draws.sense_if_busy),
+        _pack_slot_masks(draws.sense_if_idle),
+        _pack_slot_masks(draws.pu_channel_ok),
+        draws.su_uniform.tolist(),
+        _pack_slot_masks(draws.primary_arrivals),
+        draws.secondary_arrival.tolist(),
+    )
 
 
 @lru_cache(maxsize=64)
@@ -340,45 +402,160 @@ def step(
     return QueueState(primary=qp, secondary=qs), outcome
 
 
-def _least_squares_slope(y: np.ndarray) -> float:
-    """Drift of a backlog trace in packets/slot."""
-    n = len(y)
-    x = np.arange(n, dtype=np.float64) - (n - 1) / 2.0
-    return float((x * (y - y.mean())).sum() / (x * x).sum())
+# Slots per block: about _BLOCK_ELEMENTS entries in each (bands, slots) array.
+_BLOCK_ELEMENTS = 1 << 16
+_MIN_BLOCK_SLOTS = 256
+# ORIGINAL-mode passes over one block before it falls back to _slot_core.
+_MAX_PASSES = 32
 
 
-def _batch_means_stderr(indicator: np.ndarray) -> float:
+def _block_slots(m: int) -> int:
+    return max(_MIN_BLOCK_SLOTS, _BLOCK_ELEMENTS // m)
+
+
+def _lindley(q0, arrivals: np.ndarray, service: np.ndarray):
+    """Backlogs of q' = max(q - service, 0) + arrivals along the last axis.
+
+    Returns the backlog at the start of every slot and after the last one.
+    With S the running sum of arrivals - service, the backlog after slot t
+    is S_t + max(q0, max_{k<=t}(arrivals_k - S_k)).
+    """
+    net = arrivals.view(np.int8) - service.view(np.int8)
+    total = net.astype(np.int64).cumsum(axis=-1)
+    after = np.maximum.accumulate(arrivals - total, axis=-1)
+    np.maximum(after, np.asarray(q0)[..., None], out=after)
+    after += total
+    start = np.empty_like(after)
+    start[..., 0] = q0
+    start[..., 1:] = after[..., :-1]
+    return start, after[..., -1]
+
+
+class _Block(NamedTuple):
+    """One block of slots as executed by the kernel; per-slot arrays."""
+
+    qp: np.ndarray  # (bands, slots) primary backlogs at slot start
+    occupancy: np.ndarray
+    declared: np.ndarray
+    pu_departures: np.ndarray
+    su_transmitted: np.ndarray  # (slots,)
+    collision: np.ndarray
+    su_success: np.ndarray
+    su_departure: np.ndarray
+    qs: np.ndarray  # secondary backlog at slot start
+    qp_end: np.ndarray  # backlogs after the block's last slot
+    qs_end: int
+
+
+def _block_pass(draws: SlotDraws, qp0, qs0, willing, success_by_width) -> _Block:
+    """Execute a block given whether the secondary transmits when it can.
+
+    willing is True (DOMINANT) or, per slot, [q_s > 0 at slot start].
+    """
+    served = draws.pu_channel_ok & ~(draws.sense_if_busy & willing)
+    qp, qp_end = _lindley(qp0, draws.primary_arrivals, served)
+    occupancy = qp > 0
+    declared = np.where(occupancy, draws.sense_if_busy, draws.sense_if_idle)
+    width = np.count_nonzero(declared, axis=0)
+    su_tx = willing & (width > 0)
+    collision = su_tx & (draws.sense_if_busy & occupancy).any(axis=0)
+    success = su_tx & ~collision & (draws.su_uniform < success_by_width[width])
+    qs, qs_end = _lindley(qs0, draws.secondary_arrival, success)
+    return _Block(
+        qp=qp,
+        occupancy=occupancy,
+        declared=declared,
+        pu_departures=occupancy & served,
+        su_transmitted=su_tx,
+        collision=collision,
+        su_success=success,
+        su_departure=success & (qs > 0),
+        qs=qs,
+        qp_end=qp_end.copy(),
+        qs_end=int(qs_end),
+    )
+
+
+def _scalar_willing(draws: SlotDraws, qp0, qs0, success_by_width) -> np.ndarray:
+    """[q_s > 0] at the start of each slot of an ORIGINAL block, via _slot_core."""
+    success_by_width = success_by_width.tolist()
+    qp = qp0.tolist()
+    qs = qs0
+    occupancy = sum(1 << band for band, q in enumerate(qp) if q > 0)
+    full = (1 << len(qp)) - 1
+    willing = np.empty(len(draws.su_uniform), dtype=bool)
+    for t, slot_draws in enumerate(zip(*_slot_columns(draws))):
+        willing[t] = qs > 0
+        qs, occupancy, *_ = _slot_core(
+            qp, qs, occupancy, full, slot_draws, False, success_by_width
+        )
+    return willing
+
+
+def _original_block(draws: SlotDraws, qp0, qs0, success_by_width) -> _Block:
+    """Execute an ORIGINAL block: iterate willing <- [q_s > 0] to its fixed point.
+
+    Slot t of a pass depends only on willing before t, so every pass settles
+    at least one more slot and the fixed point is the causal run.  A block
+    that has not settled after _MAX_PASSES passes is run by _slot_core.
+    """
+    willing = np.ones(len(draws.su_uniform), dtype=bool)
+    for _ in range(_MAX_PASSES):
+        block = _block_pass(draws, qp0, qs0, willing, success_by_width)
+        settled = block.qs > 0
+        if np.array_equal(settled, willing):
+            return block
+        willing = settled
+    willing = _scalar_willing(draws, qp0, qs0, success_by_width)
+    return _block_pass(draws, qp0, qs0, willing, success_by_width)
+
+
+def _batch_counts(counts: np.ndarray, success: np.ndarray, first: int, batch: int) -> None:
+    """Add successes, the first at opportunity index first, to their batches."""
+    index = (np.flatnonzero(success) + first) // batch
+    counts += np.bincount(index[index < BATCH_COUNT], minlength=BATCH_COUNT)
+
+
+def _batch_means_stderr(counts: np.ndarray, batch: int) -> float:
     """Standard error of a rate estimate via batch means over BATCH_COUNT batches."""
-    batch = len(indicator) // BATCH_COUNT
     if batch < 1:
         return math.nan
-    means = (
-        indicator[: batch * BATCH_COUNT]
-        .reshape(BATCH_COUNT, batch)
-        .mean(axis=1)
-    )
+    means = counts / batch
     return float(means.std(ddof=1) / math.sqrt(BATCH_COUNT))
 
 
-def _trace_line(outcome_fields: tuple) -> str:
-    slot, occ, declared, su_tx, su_success, su_dep, pu_dep, collision, arr_p, arr_s = (
-        outcome_fields
+def _drift_slope(n: int, sum_y: int, sum_iy: int) -> float:
+    """Least-squares slope of y_0..y_{n-1} against i, from exact sums."""
+    # sum((i - (n-1)/2) * y_i) / sum((i - (n-1)/2)^2), both as exact integers
+    return 6 * (2 * sum_iy - (n - 1) * sum_y) / (n * (n * n - 1))
+
+
+_TRACE_LINE = (
+    '{"slot":%d,"occupancy":%d,"declared_idle":%d,"su_transmitted":%s,'
+    '"su_success":%s,"su_departure":%s,"pu_departures":%d,"collision":%s,'
+    '"primary_arrivals":%d,"secondary_arrival":%s}\n'
+)
+
+
+def _trace_lines(first: int, block: _Block, draws: SlotDraws) -> str:
+    """One compact JSON object per slot of the block, slots numbered from first."""
+
+    def flags(x: np.ndarray) -> list[str]:
+        return np.where(x, "true", "false").tolist()
+
+    rows = zip(
+        range(first, first + len(block.qs)),
+        _pack_slot_masks(block.occupancy),
+        _pack_slot_masks(block.declared),
+        flags(block.su_transmitted),
+        flags(block.su_success),
+        flags(block.su_departure),
+        _pack_slot_masks(block.pu_departures),
+        flags(block.collision),
+        _pack_slot_masks(draws.primary_arrivals),
+        flags(draws.secondary_arrival),
     )
-    return json.dumps(
-        {
-            "slot": slot,
-            "occupancy": occ,
-            "declared_idle": declared,
-            "su_transmitted": su_tx,
-            "su_success": su_success,
-            "su_departure": su_dep,
-            "pu_departures": pu_dep,
-            "collision": collision,
-            "primary_arrivals": arr_p,
-            "secondary_arrival": arr_s,
-        },
-        separators=(",", ":"),
-    )
+    return "".join(_TRACE_LINE % row for row in rows)
 
 
 def run(cfg: SimConfig, trace_path: str | Path | None = None) -> SimReport:
@@ -386,102 +563,87 @@ def run(cfg: SimConfig, trace_path: str | Path | None = None) -> SimReport:
 
     Identical (cfg, seed) pairs produce identical reports.  When trace_path
     is given, every slot is appended to it as one JSON object per line.
+    Memory does not grow with the horizon, except one bit per transmission
+    opportunity in ORIGINAL mode.
     """
     scenario = cfg.scenario
     m = scenario.channel.m_bands
-    success_by_width = _success_by_width(scenario.channel)
+    success_by_width = np.asarray(_success_by_width(scenario.channel))
     streams = ProtocolStreams(scenario, cfg.seed)
     dominant = cfg.mode is Mode.DOMINANT
     warmup = cfg.warmup
     measured = cfg.slots - warmup
-    full = (1 << m) - 1
+    block_slots = _block_slots(m)
 
-    qp = [0] * m
+    qp = np.zeros(m, dtype=np.int64)
     qs = 0
-    occupancy = 0
-    total_qp = 0
-
-    qs_trace = np.zeros(measured, dtype=np.int64)
-    opportunity_success = np.zeros(measured, dtype=np.uint8)
-    n_opportunities = 0
-    nonempty = [0] * m
-    departures = [0] * m
-    sum_qp = 0
-    collisions = 0
-    su_departures = 0
-    arrivals_s_total = 0
-    departures_s_total = 0
+    nonempty = np.zeros(m, dtype=np.int64)
+    departures = np.zeros(m, dtype=np.int64)
+    sum_qp = sum_qs = sum_iqs = 0
+    collisions = su_departures = 0
+    arrivals_s_total = departures_s_total = 0
+    # successes on transmission opportunities in the window: every measured
+    # slot in DOMINANT mode, so batches are counted as they go; in ORIGINAL
+    # mode the opportunity count is known only at the end, so keep the bits
+    n_opportunities = n_successes = 0
+    batch = measured // BATCH_COUNT
+    batch_counts = np.zeros(BATCH_COUNT, dtype=np.int64)
+    packed_successes: list[tuple[np.ndarray, int]] = []
 
     trace_file = open(trace_path, "w") if trace_path is not None else None
     try:
-        for t in range(cfg.slots):
-            draws = streams.next_slot()
-            occ_start = occupancy
-            qs_start = qs
-            in_window = t >= warmup
-            if in_window:
-                qs_trace[t - warmup] = qs
-                sum_qp += total_qp
-            (
-                qs,
-                occupancy,
-                declared,
-                su_tx,
-                collision,
-                su_success,
-                su_departure,
-                pu_dep,
-            ) = _slot_core(qp, qs, occupancy, full, draws, dominant, success_by_width)
-            arrivals_s_total += draws[5]
-            departures_s_total += su_departure
-            total_qp += draws[4].bit_count() - pu_dep.bit_count()
-            if in_window:
-                if collision:
-                    collisions += 1
-                if su_departure:
-                    su_departures += 1
-                if dominant or qs_start > 0:
-                    opportunity_success[n_opportunities] = su_success
-                    n_opportunities += 1
-                w = occ_start
-                while w:
-                    low = w & -w
-                    nonempty[low.bit_length() - 1] += 1
-                    w ^= low
-                w = pu_dep
-                while w:
-                    low = w & -w
-                    departures[low.bit_length() - 1] += 1
-                    w ^= low
-            if trace_file is not None:
-                trace_file.write(
-                    _trace_line(
-                        (
-                            t,
-                            occ_start,
-                            declared,
-                            su_tx,
-                            su_success,
-                            su_departure,
-                            pu_dep,
-                            collision,
-                            draws[4],
-                            bool(draws[5]),
-                        )
-                    )
-                    + "\n"
+        for first in range(0, cfg.slots, block_slots):
+            draws = streams.draw_block(min(block_slots, cfg.slots - first))
+            if dominant:
+                block = _block_pass(draws, qp, qs, True, success_by_width)
+            else:
+                block = _original_block(draws, qp, qs, success_by_width)
+            arrivals_s_total += int(np.count_nonzero(draws.secondary_arrival))
+            departures_s_total += int(np.count_nonzero(block.su_departure))
+            lo = max(warmup - first, 0)
+            if lo < len(block.qs):
+                window_qs = block.qs[lo:]
+                block_sum_qs = int(window_qs.sum())
+                sum_qp += int(block.qp[:, lo:].sum())
+                sum_iqs += (first + lo - warmup) * block_sum_qs + int(
+                    np.arange(len(window_qs)) @ window_qs
                 )
+                sum_qs += block_sum_qs
+                nonempty += np.count_nonzero(block.occupancy[:, lo:], axis=1)
+                departures += np.count_nonzero(block.pu_departures[:, lo:], axis=1)
+                collisions += int(np.count_nonzero(block.collision[lo:]))
+                su_departures += int(np.count_nonzero(block.su_departure[lo:]))
+                success = block.su_success[lo:]
+                if not dominant:
+                    success = success[window_qs > 0]
+                    packed_successes.append((np.packbits(success), len(success)))
+                elif batch:
+                    _batch_counts(batch_counts, success, n_opportunities, batch)
+                n_opportunities += len(success)
+                n_successes += int(np.count_nonzero(success))
+            if trace_file is not None:
+                trace_file.write(_trace_lines(first, block, draws))
+            qp, qs = block.qp_end, block.qs_end
     finally:
         if trace_file is not None:
             trace_file.close()
 
-    ratios = [departures[b] / nonempty[b] for b in range(m) if nonempty[b] > 0]
+    if not dominant:
+        batch = n_opportunities // BATCH_COUNT
+        if batch:
+            first = 0
+            for bits, count in packed_successes:
+                success = np.unpackbits(bits, count=count).view(bool)
+                _batch_counts(batch_counts, success, first, batch)
+                first += count
+
+    nonempty_list, departures_list = nonempty.tolist(), departures.tolist()
+    ratios = [d / n for d, n in zip(departures_list, nonempty_list) if n > 0]
     empirical_mu_p = sum(ratios) / len(ratios) if ratios else 0.0
-    successes = opportunity_success[:n_opportunities]
-    empirical_mu_s = float(successes.mean()) if n_opportunities else 0.0
+    empirical_mu_s = n_successes / n_opportunities if n_opportunities else 0.0
 
     if measured >= 2:
-        slope = _least_squares_slope(qs_trace)
+        slope = _drift_slope(measured, sum_qs, sum_iqs)
         if slope > cfg.unstable_slope:
             verdict = Verdict.UNSTABLE
         elif slope < cfg.stable_slope:
@@ -500,10 +662,10 @@ def run(cfg: SimConfig, trace_path: str | Path | None = None) -> SimReport:
         empirical_mu_s=empirical_mu_s,
         throughput_s=su_departures / measured,
         mean_queue_p=sum_qp / (measured * m),
-        mean_queue_s=float(qs_trace.mean()),
+        mean_queue_s=sum_qs / measured,
         stability_verdict_s=verdict,
         collisions=collisions,
-        std_err_mu_s=_batch_means_stderr(successes),
+        std_err_mu_s=_batch_means_stderr(batch_counts, batch),
         arrivals_s=arrivals_s_total,
         departures_s=departures_s_total,
         final_queue_s=qs,

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -266,3 +268,55 @@ def test_simulate_unstable_primary_still_reports(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["mu_s_analytical"] is None
     assert data["mu_p_analytical"] is None
+
+
+REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
+
+# configs/reference.json when the trace hashes below were recorded
+REFERENCE = {
+    "m_bands": 13,
+    "k_antennas": 8,
+    "tau_b_frac": 0.01,
+    "spectral_eff_r": 2.0,
+    "snr_s": 1.0,
+    "p_bar_p": 0.9,
+    "p_fa": 0.05,
+    "p_md": 0.05,
+    "lambda_p": 0.5,
+    "lambda_s": 0.3,
+}
+
+# sha256 of --trace files as written by the per-slot loop that run() used
+# before its block kernel; the m=5 run spans two blocks of slots, m=40 three
+TRACE_SHA256 = {
+    (5, "dominant"): "dbbe43bfb18f33bfe8d08c73ba58c8e86be61e767705c354c53eb95fe505a931",
+    (5, "original"): "89092915239fd52a5344a994a820adbd341ed597600706afef9bd6538c0f3c34",
+    (40, "dominant"): "3c4b472095a5881a1fdd50ef7cce6bec0e04742695debcc1abf9e4a6c22e32f9",
+    (40, "original"): "704c7f8e71d9774bddf6bf78214a75eeefaee02aebb1ea74b3d65bf778cb83ba",
+}
+
+
+@pytest.mark.parametrize("m_bands, mode", sorted(TRACE_SHA256))
+def test_simulate_trace_bytes_are_pinned(m_bands, mode, tmp_path, capsys):
+    k_antennas, slots = {5: (4, 14_000), 40: (8, 4_000)}[m_bands]
+    config = write_config(tmp_path, {**REFERENCE, "m_bands": m_bands, "k_antennas": k_antennas})
+    trace = tmp_path / "trace.ndjson"
+    argv = ["simulate", "--config", config, "--mode", mode, "--slots", str(slots),
+            "--seed", "7", "--trace", str(trace), "--out", str(tmp_path / "out.csv")]  # fmt: skip
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == TRACE_SHA256[m_bands, mode]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_simulate_json_is_strict_when_std_err_is_undefined(capsys):
+    # 50 slots give fewer than 100 transmission opportunities: no batch means
+    argv = ["simulate", "--config", str(REFERENCE_CONFIG), "--mode", "original",
+            "--slots", "50", "--format", "json"]  # fmt: skip
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert data["std_err_mu_s"] is None
+    assert isinstance(data["mu_s_analytical"], float)

@@ -1,8 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from specagg import (
     ChannelParams,
@@ -12,15 +15,27 @@ from specagg import (
     ScenarioConfig,
     SensingParams,
     SimConfig,
+    SimReport,
     TrafficParams,
     Verdict,
     analyze,
     boundary_check,
     run,
+    simulate,
     step,
 )
 
 from conftest import reference_scenario
+
+# derandomized so every run draws the same examples; no example database.  The
+# monkeypatch fixture only sets module attributes that each example sets again.
+PROPERTY = settings(
+    derandomize=True,
+    deadline=None,
+    database=None,
+    max_examples=100,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 
 
 def small_scenario(lambda_p=0.4, lambda_s=0.2, p_fa=0.05, p_md=0.05, m_bands=5):
@@ -289,3 +304,181 @@ def test_batch_means_stderr_shrinks_with_horizon():
     long = run(SimConfig(scenario=sc, mode=Mode.DOMINANT, slots=320_000, seed=53))
     assert 0 < long.std_err_mu_s < short.std_err_mu_s
     assert not math.isnan(short.std_err_mu_s)
+
+
+def reference_run(cfg: SimConfig) -> SimReport:
+    """run() as a loop of step() calls: the per-slot reference for run().
+
+    The statistics are computed as run() computed them before it worked on
+    blocks of slots: a backlog trace and an opportunity array of the whole
+    window, a float least-squares slope and batch means of a uint8 array.
+    """
+    m = cfg.scenario.channel.m_bands
+    streams = ProtocolStreams(cfg.scenario, cfg.seed)
+    dominant = cfg.mode is Mode.DOMINANT
+    warmup = cfg.warmup
+    measured = cfg.slots - warmup
+    state = QueueState(primary=[0] * m, secondary=0)
+    qs_trace = np.zeros(measured, dtype=np.int64)
+    opportunity_success = np.zeros(measured, dtype=np.uint8)
+    n_opportunities = 0
+    nonempty = [0] * m
+    departures = [0] * m
+    sum_qp = collisions = su_departures = arrivals_s = departures_s = 0
+    for t in range(cfg.slots):
+        qs_start = state.secondary
+        qp_start = sum(state.primary)
+        state, out = step(state, cfg, streams)
+        arrivals_s += out.secondary_arrival
+        departures_s += out.su_departure
+        if t < warmup:
+            continue
+        qs_trace[t - warmup] = qs_start
+        sum_qp += qp_start
+        collisions += out.collision
+        su_departures += out.su_departure
+        if dominant or qs_start > 0:
+            opportunity_success[n_opportunities] = out.su_success
+            n_opportunities += 1
+        for band in range(m):
+            nonempty[band] += out.occupancy >> band & 1
+            departures[band] += out.pu_departures >> band & 1
+
+    ratios = [departures[b] / nonempty[b] for b in range(m) if nonempty[b] > 0]
+    successes = opportunity_success[:n_opportunities]
+    verdict = Verdict.INCONCLUSIVE
+    if measured >= 2:
+        x = np.arange(measured, dtype=np.float64) - (measured - 1) / 2.0
+        slope = float((x * (qs_trace - qs_trace.mean())).sum() / (x * x).sum())
+        if slope > cfg.unstable_slope:
+            verdict = Verdict.UNSTABLE
+        elif slope < cfg.stable_slope:
+            verdict = Verdict.STABLE
+    batch = n_opportunities // simulate.BATCH_COUNT
+    std_err = math.nan
+    if batch >= 1:
+        means = successes[: batch * simulate.BATCH_COUNT].reshape(-1, batch).mean(axis=1)
+        std_err = float(means.std(ddof=1) / math.sqrt(simulate.BATCH_COUNT))
+    return SimReport(
+        mode=cfg.mode,
+        slots=cfg.slots,
+        warmup=warmup,
+        seed=cfg.seed,
+        empirical_mu_p=sum(ratios) / len(ratios) if ratios else 0.0,
+        empirical_mu_s=float(successes.mean()) if n_opportunities else 0.0,
+        throughput_s=su_departures / measured,
+        mean_queue_p=sum_qp / (measured * m),
+        mean_queue_s=float(qs_trace.mean()),
+        stability_verdict_s=verdict,
+        collisions=collisions,
+        std_err_mu_s=std_err,
+        arrivals_s=arrivals_s,
+        departures_s=departures_s,
+        final_queue_s=state.secondary,
+    )
+
+
+def assert_same_report(report: SimReport, expected: SimReport) -> None:
+    got, want = report.to_dict(), expected.to_dict()
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        both_nan = isinstance(value, float) and math.isnan(value) and math.isnan(got[key])
+        assert both_nan or got[key] == value, (key, got[key], value)
+
+
+unit_or_end = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def sim_configs(draw):
+    """A small random run: m up to 40 (past the 32-band mask word), any rates."""
+    m = draw(st.integers(1, 40))
+    scenario = ScenarioConfig(
+        channel=ChannelParams(
+            snr_s=draw(st.floats(0.2, 5.0)),
+            spectral_eff_r=2.0,
+            tau_b_frac=0.01,
+            m_bands=m,
+            k_antennas=draw(st.integers(1, m)),
+            p_bar_p=draw(unit_or_end),
+        ),
+        sensing=SensingParams(p_fa=draw(unit_or_end), p_md=draw(unit_or_end)),
+        traffic=TrafficParams(lambda_p=draw(unit_or_end), lambda_s=draw(unit_or_end)),
+    )
+    slots = draw(st.integers(1, 700))
+    warmup = draw(st.sampled_from([0, None]) | st.integers(0, slots - 1))
+    return scenario, slots, warmup, draw(st.integers(0, 2**32))
+
+
+REAL_BLOCK_SLOTS = simulate._block_slots
+
+
+def _check_both_modes(case, monkeypatch, block):
+    scenario, slots, warmup, seed = case
+    monkeypatch.setattr(
+        simulate, "_block_slots", REAL_BLOCK_SLOTS if block is None else lambda m: block
+    )
+    for mode in Mode:
+        cfg = SimConfig(scenario=scenario, mode=mode, slots=slots, seed=seed, warmup=warmup)
+        assert_same_report(run(cfg), reference_run(cfg))
+
+
+@PROPERTY
+# None keeps the real block size; the others put many block edges in a short run
+@given(sim_configs(), st.sampled_from([None, 1, 2, 7, 64]) | st.integers(1, 300))
+def test_run_equals_step_reference(monkeypatch, case, block):
+    _check_both_modes(case, monkeypatch, block)
+
+
+@PROPERTY
+@given(sim_configs(), st.sampled_from([None, 5, 64]) | st.integers(1, 300))
+def test_run_equals_step_reference_through_scalar_fallback(monkeypatch, case, block):
+    # one pass per ORIGINAL block: any block that is not settled by then runs
+    # through _slot_core
+    monkeypatch.setattr(simulate, "_MAX_PASSES", 1)
+    _check_both_modes(case, monkeypatch, block)
+
+
+@pytest.mark.parametrize("m_bands, slots", [(40, 3_500), (13, 5_100), (1, 65_600)])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_run_equals_step_reference_across_real_blocks(m_bands, slots, mode):
+    k = min(8, m_bands)
+    scenario = reference_scenario(lambda_s=0.3, m_bands=m_bands, k_antennas=k)
+    assert slots > simulate._block_slots(m_bands)
+    cfg = SimConfig(scenario=scenario, mode=mode, slots=slots, seed=61)
+    assert_same_report(run(cfg), reference_run(cfg))
+
+
+def test_draw_block_and_next_slot_share_one_layout():
+    sc = small_scenario(m_bands=37)
+    blocks = ProtocolStreams(sc, 71)
+    slots = ProtocolStreams(sc, 71)
+    for n in (1, 300, 33_000):
+        draws = blocks.draw_block(n)
+        masks = [simulate._pack_slot_masks(x) for x in (draws[0], draws[1], draws[2], draws[4])]
+        expected = [slots.next_slot() for _ in range(n)]
+        assert [e[0] for e in expected] == masks[0]
+        assert [e[1] for e in expected] == masks[1]
+        assert [e[2] for e in expected] == masks[2]
+        assert [e[3] for e in expected] == draws.su_uniform.tolist()
+        assert [e[4] for e in expected] == masks[3]
+        assert [e[5] for e in expected] == draws.secondary_arrival.tolist()
+    assert blocks.consumed == slots.consumed == 33_301
+    with pytest.raises(RuntimeError, match="buffered"):
+        slots.draw_block(1)
+
+
+def test_run_memory_does_not_grow_with_the_horizon():
+    sc = reference_scenario(lambda_s=0.3)
+
+    def peak(slots):
+        tracemalloc.start()
+        try:
+            run(SimConfig(scenario=sc, mode=Mode.DOMINANT, slots=slots, seed=3))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(100_000), peak(1_000_000)
+    # the old run() held 9 B per measured slot: 8 MB more at the long horizon
+    assert long - short < 256 * 1024, (short, long)
