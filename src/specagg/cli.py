@@ -25,6 +25,7 @@ from .analysis import (
 )
 from .channel import PowerMode, pu_success_prob
 from .config import (
+    _INT_AXES,
     ConfigError,
     ScenarioConfig,
     SweepSpec,
@@ -35,8 +36,6 @@ from .optimize import optimize_sensed_bands
 from .simulate import Mode, SimConfig, run
 
 __all__ = ["main"]
-
-_INT_AXES = {"m_bands", "k_antennas"}
 
 
 class _Parser(argparse.ArgumentParser):

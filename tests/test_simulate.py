@@ -449,6 +449,88 @@ def test_run_equals_step_reference_across_real_blocks(m_bands, slots, mode):
     assert_same_report(run(cfg), reference_run(cfg))
 
 
+@PROPERTY
+@given(sim_configs(), st.sampled_from([None, 5, 64]) | st.integers(1, 300))
+def test_run_equals_step_reference_with_int64_scans(monkeypatch, case, block):
+    # no block is narrow enough for int32, so every Lindley scan runs in int64
+    monkeypatch.setattr(simulate, "_NARROW_LIMIT", 0)
+    _check_both_modes(case, monkeypatch, block)
+
+
+@PROPERTY
+@given(
+    sim_configs(),
+    st.integers(0, 3_000),
+    st.sampled_from([None, 7, 64]) | st.integers(5, 300),
+)
+def test_run_conserves_secondary_packets(monkeypatch, case, extra_slots, block):
+    scenario, slots, _, seed = case
+    monkeypatch.setattr(
+        simulate, "_block_slots", REAL_BLOCK_SLOTS if block is None else lambda m: block
+    )
+    for mode in Mode:
+        cfg = SimConfig(scenario=scenario, mode=mode, slots=slots + extra_slots, seed=seed)
+        report = run(cfg)
+        assert report.arrivals_s - report.departures_s == report.final_queue_s
+
+
+def lindley_reference(q0: int, arrivals, service) -> tuple[list[int], int]:
+    """q' = max(q - service, 0) + arrivals, one slot at a time."""
+    q, starts = int(q0), []
+    for a, s in zip(arrivals.tolist(), service.tolist()):
+        starts.append(q)
+        q = max(q - s, 0) + a
+    return starts, q
+
+
+@pytest.mark.parametrize(
+    "q0, dtype",
+    [
+        (0, np.int32),
+        (7, np.int32),
+        (2**31 - 1 - 2 * 300 - 1, np.int32),  # the largest backlog an int32 scan takes
+        (2**31 - 1 - 2 * 300, np.int64),
+        (2**31 + 12, np.int64),
+        (2**40, np.int64),
+    ],
+)
+def test_lindley_matches_the_recursion(q0, dtype):
+    rng = np.random.default_rng(q0 % 1000)
+    n = 300
+    for p_arrival, p_service in ((0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (0.2, 0.7)):
+        arrivals = rng.random(n) < p_arrival
+        service = rng.random(n) < p_service
+        start, end = simulate._lindley(q0, arrivals, service)
+        assert start.dtype == dtype
+        assert (start.tolist(), int(end)) == lindley_reference(q0, arrivals, service)
+
+        # (bands, slots): one recursion per row, each from its own backlog
+        bands = 5
+        q0s = np.array([q0, 0, 1, q0 // 2, 3], dtype=np.int64)
+        arrivals = rng.random((bands, n)) < p_arrival
+        service = rng.random((bands, n)) < p_service
+        start, end = simulate._lindley(q0s, arrivals, service)
+        assert start.dtype == dtype and end.dtype == np.int64
+        for b in range(bands):
+            want = lindley_reference(q0s[b], arrivals[b], service[b])
+            assert (start[b].tolist(), int(end[b])) == want
+
+
+@pytest.mark.parametrize("m", [1, 8, 63, 64, 65, 130])
+def test_pack_slot_masks_matches_a_per_slot_fold(m):
+    rng = np.random.default_rng(m)
+    bits = rng.random((m, 200)) < 0.5
+    bits[:, 0] = True
+    bits[:, 1] = False
+    expected = [
+        sum(1 << band for band in range(m) if bits[band, t]) for t in range(bits.shape[1])
+    ]
+    masks = simulate._pack_slot_masks(bits)
+    assert masks == expected
+    assert masks[0] == (1 << m) - 1 and masks[1] == 0
+    assert all(type(mask) is int for mask in masks)
+
+
 def test_draw_block_and_next_slot_share_one_layout():
     sc = small_scenario(m_bands=37)
     blocks = ProtocolStreams(sc, 71)
