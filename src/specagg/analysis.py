@@ -55,9 +55,9 @@ class TrafficParams:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.lambda_p <= 1.0:
-            raise ValueError(f"lambda_p must be in [0, 1], got {self.lambda_p}")
+            raise ValueError(f"lambda_p: must be in [0, 1], got {self.lambda_p}")
         if not 0.0 <= self.lambda_s <= 1.0:
-            raise ValueError(f"lambda_s must be in [0, 1], got {self.lambda_s}")
+            raise ValueError(f"lambda_s: must be in [0, 1], got {self.lambda_s}")
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,6 @@ class AnalyticalResult:
     mu_s: float
     primary_stable: bool
     secondary_stable: bool
-
-    def secondary_stable_at(self, lambda_s: float) -> bool:
-        """Whether a secondary arrival rate sits inside the stability region."""
-        return lambda_s < self.mu_s
 
 
 @dataclass(frozen=True)

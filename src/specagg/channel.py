@@ -61,20 +61,21 @@ class ChannelParams:
     def __post_init__(self) -> None:
         if (self.snr_p is None) == (self.p_bar_p is None):
             raise ValueError("exactly one of snr_p / p_bar_p must be supplied")
-        if self.snr_p is not None and self.snr_p <= 0:
-            raise ValueError(f"snr_p must be > 0, got {self.snr_p}")
+        # Written as "not <in range>" so that NaN fails every check.
+        if self.snr_p is not None and not self.snr_p > 0:
+            raise ValueError(f"snr_p: must be > 0, got {self.snr_p}")
         if self.p_bar_p is not None and not 0.0 <= self.p_bar_p <= 1.0:
-            raise ValueError(f"p_bar_p must be in [0, 1], got {self.p_bar_p}")
-        if self.snr_s <= 0:
-            raise ValueError(f"snr_s must be > 0, got {self.snr_s}")
-        if self.spectral_eff_r <= 0:
-            raise ValueError(f"spectral_eff_r must be > 0, got {self.spectral_eff_r}")
+            raise ValueError(f"p_bar_p: must be in [0, 1], got {self.p_bar_p}")
+        if not self.snr_s > 0:
+            raise ValueError(f"snr_s: must be > 0, got {self.snr_s}")
+        if not self.spectral_eff_r > 0:
+            raise ValueError(f"spectral_eff_r: must be > 0, got {self.spectral_eff_r}")
         if not 0.0 <= self.tau_b_frac <= 1.0:
-            raise ValueError(f"tau_b_frac must be in [0, 1], got {self.tau_b_frac}")
-        if self.m_bands < 1:
-            raise ValueError(f"m_bands must be >= 1, got {self.m_bands}")
-        if self.k_antennas < 1:
-            raise ValueError(f"k_antennas must be >= 1, got {self.k_antennas}")
+            raise ValueError(f"tau_b_frac: must be in [0, 1], got {self.tau_b_frac}")
+        if not self.m_bands >= 1:
+            raise ValueError(f"m_bands: must be >= 1, got {self.m_bands}")
+        if not self.k_antennas >= 1:
+            raise ValueError(f"k_antennas: must be >= 1, got {self.k_antennas}")
 
 
 def sensing_fraction(params: ChannelParams) -> float:

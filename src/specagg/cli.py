@@ -20,18 +20,12 @@ from pathlib import Path
 from .analysis import (
     UnstablePrimaryError,
     analyze,
+    primary_service_rate,
     secondary_service_rate,
     single_band_service_rate,
 )
 from .channel import PowerMode, pu_success_prob
-from .config import (
-    _INT_AXES,
-    ConfigError,
-    ScenarioConfig,
-    SweepSpec,
-    apply_axis,
-    load_config,
-)
+from .config import ConfigError, ScenarioConfig, SweepSpec, apply_axis, load_config
 from .optimize import optimize_sensed_bands
 from .simulate import Mode, SimConfig, run
 
@@ -95,10 +89,6 @@ def _load_sweep(path) -> SweepSpec:
     return cfg
 
 
-def _axis_value(axis: str, value: float):
-    return int(value) if axis in _INT_AXES else value
-
-
 def cmd_analyze(args) -> str:
     scenario = _load_scenario(args.config)
     result = analyze(scenario.channel, scenario.sensing, scenario.traffic)
@@ -136,7 +126,9 @@ def cmd_optimize(args) -> str:
                 "label": scenario.label,
                 "m_opt": opt.m_opt,
                 "mu_s_opt": opt.mu_s_opt,
-                "mu_p_sensed_bands": p_bar * (1.0 - scenario.sensing.p_md),
+                "mu_p_sensed_bands": primary_service_rate(
+                    scenario.channel, scenario.sensing
+                ),
                 "mu_p_unsensed_bands": p_bar,
                 "profile": [[m, rate] for m, rate in opt.profile],
             }
@@ -186,17 +178,19 @@ def cmd_sweep(args) -> str:
     rows = []
     for index, value in enumerate(spec.values):
         scenario = apply_axis(spec.base, spec.axis, value)
-        axis_value = _axis_value(spec.axis, value)
         try:
             result = analyze(scenario.channel, scenario.sensing, scenario.traffic)
         except UnstablePrimaryError:
-            rows.append([axis_value, "skipped", None, None, None, None, None, None])
+            rows.append([value, "skipped", None, None, None, None, None, None])
             continue
         m_opt = None
         if spec.axis != "m_bands":
-            m_opt = optimize_sensed_bands(
-                scenario.channel, scenario.sensing, scenario.traffic
-            ).m_opt
+            try:
+                m_opt = optimize_sensed_bands(
+                    scenario.channel, scenario.sensing, scenario.traffic
+                ).m_opt
+            except UnstablePrimaryError:
+                pass  # lambda_p == mu_p: analyze admits pi = 0, the optimizer does not
         mu_s_simulated = std_err = None
         if spec.with_simulation:
             report = run(
@@ -211,7 +205,7 @@ def cmd_sweep(args) -> str:
             std_err = report.std_err_mu_s
         rows.append(
             [
-                axis_value,
+                value,
                 "ok",
                 result.mu_p,
                 result.pi,
@@ -234,7 +228,6 @@ def cmd_compare(args) -> str:
     rows = []
     for value in spec.values:
         scenario = apply_axis(spec.base, spec.axis, value)
-        axis_value = _axis_value(spec.axis, value)
         psd = replace(scenario.channel, power_mode=PowerMode.PSD)
         limited = replace(scenario.channel, power_mode=PowerMode.LIMITED)
         try:
@@ -246,9 +239,9 @@ def cmd_compare(args) -> str:
                 psd, scenario.sensing, scenario.traffic
             )
         except UnstablePrimaryError:
-            rows.append([axis_value, "skipped", None, None, None])
+            rows.append([value, "skipped", None, None, None])
             continue
-        rows.append([axis_value, "ok", mu_psd, mu_limited, mu_single])
+        rows.append([value, "ok", mu_psd, mu_limited, mu_single])
     if args.format == "json":
         return _json_text([{k: v for k, v in zip(header, row)} for row in rows])
     return _csv(header, rows)

@@ -1,8 +1,13 @@
-"""Scenario and sweep configuration: validated containers plus JSON loading."""
+"""Scenario and sweep configuration: containers plus JSON loading.
+
+Only keys and types are checked here.  The parameter classes check every
+value range; load_config reports their ValueError as a ConfigError.
+"""
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -69,46 +74,47 @@ class SweepSpec:
 
     base: ScenarioConfig
     axis: str
-    values: list[float]
+    values: list[int] | list[float]
     with_simulation: bool = False
     sim_slots: int | None = None
     sim_seed: int | None = None
 
 
-def _require_number(raw: dict, key: str) -> float:
-    if key not in raw:
-        raise ConfigError(f"{key}: missing required key")
-    value = raw[key]
+def _number(key: str, value) -> float:
+    """A JSON number as a finite float (json also reads NaN, Infinity and huge ints)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return number
 
 
-def _require_int(raw: dict, key: str) -> int:
-    value = _require_number(raw, key)
-    if value != int(value):
-        raise ConfigError(f"{key}: expected an integer, got {raw[key]!r}")
+def _integer(key: str, value, expected: str = "expected an integer") -> int:
+    if not _number(key, value).is_integer():
+        raise ConfigError(f"{key}: {expected}, got {value!r}")
     return int(value)
 
 
-def _in_unit_interval(key: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"{key}: must be in [0, 1], got {value}")
-    return value
+def _require(raw: dict, key: str, parse=_number):
+    if key not in raw:
+        raise ConfigError(f"{key}: missing required key")
+    return parse(key, raw[key])
 
 
 def scenario_from_mapping(raw: dict) -> ScenarioConfig:
-    """Build a validated ScenarioConfig from a flat key/value mapping."""
+    """Build a ScenarioConfig from a flat key/value mapping."""
     unknown = set(raw) - SCENARIO_KEYS
     if unknown:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r}")
 
     if ("snr_p" in raw) == ("p_bar_p" in raw):
         raise ConfigError("exactly one of snr_p / p_bar_p must be present")
-    snr_p = _require_number(raw, "snr_p") if "snr_p" in raw else None
-    p_bar_p = None
-    if "p_bar_p" in raw:
-        p_bar_p = _in_unit_interval("p_bar_p", _require_number(raw, "p_bar_p"))
+    snr_p = _require(raw, "snr_p") if "snr_p" in raw else None
+    p_bar_p = _require(raw, "p_bar_p") if "p_bar_p" in raw else None
 
     mode_raw = raw.get("power_mode", "PSD")
     if not isinstance(mode_raw, str) or mode_raw.upper() not in ("PSD", "LIMITED"):
@@ -118,45 +124,29 @@ def scenario_from_mapping(raw: dict) -> ScenarioConfig:
     if label is not None and not isinstance(label, str):
         raise ConfigError(f"label: expected a string, got {label!r}")
 
-    m_bands = _require_int(raw, "m_bands")
-    k_antennas = _require_int(raw, "k_antennas")
-    if m_bands < 1:
-        raise ConfigError(f"m_bands: must be >= 1, got {m_bands}")
-    if k_antennas < 1:
-        raise ConfigError(f"k_antennas: must be >= 1, got {k_antennas}")
-
-    spectral_eff_r = _require_number(raw, "spectral_eff_r")
-    if spectral_eff_r <= 0:
-        raise ConfigError(f"spectral_eff_r: must be > 0, got {spectral_eff_r}")
-    snr_s = _require_number(raw, "snr_s")
-    if snr_s <= 0:
-        raise ConfigError(f"snr_s: must be > 0, got {snr_s}")
-    if snr_p is not None and snr_p <= 0:
-        raise ConfigError(f"snr_p: must be > 0, got {snr_p}")
-
     channel = ChannelParams(
-        snr_s=snr_s,
-        spectral_eff_r=spectral_eff_r,
-        tau_b_frac=_in_unit_interval("tau_b_frac", _require_number(raw, "tau_b_frac")),
-        m_bands=m_bands,
-        k_antennas=k_antennas,
+        snr_s=_require(raw, "snr_s"),
+        spectral_eff_r=_require(raw, "spectral_eff_r"),
+        tau_b_frac=_require(raw, "tau_b_frac"),
+        m_bands=_require(raw, "m_bands", _integer),
+        k_antennas=_require(raw, "k_antennas", _integer),
         snr_p=snr_p,
         p_bar_p=p_bar_p,
         power_mode=PowerMode[mode_raw.upper()],
     )
-    sensing = SensingParams(
-        p_fa=_in_unit_interval("p_fa", _require_number(raw, "p_fa")),
-        p_md=_in_unit_interval("p_md", _require_number(raw, "p_md")),
-    )
+    sensing = SensingParams(p_fa=_require(raw, "p_fa"), p_md=_require(raw, "p_md"))
     traffic = TrafficParams(
-        lambda_p=_in_unit_interval("lambda_p", _require_number(raw, "lambda_p")),
-        lambda_s=_in_unit_interval("lambda_s", _require_number(raw, "lambda_s")),
+        lambda_p=_require(raw, "lambda_p"), lambda_s=_require(raw, "lambda_s")
     )
     return ScenarioConfig(channel=channel, sensing=sensing, traffic=traffic, label=label)
 
 
 def sweep_from_mapping(raw: dict) -> SweepSpec:
-    """Build a validated SweepSpec from a flat key/value mapping."""
+    """Build a SweepSpec from a flat key/value mapping.
+
+    Values on an integer axis are stored as int.  Each value is applied to
+    the base scenario once here, so one out of range fails at load.
+    """
     unknown = set(raw) - SCENARIO_KEYS - SWEEP_ONLY_KEYS
     if unknown:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r}")
@@ -167,13 +157,13 @@ def sweep_from_mapping(raw: dict) -> SweepSpec:
     values_raw = raw.get("values")
     if not isinstance(values_raw, list) or not values_raw:
         raise ConfigError("values: expected a non-empty list of numbers")
-    values: list[float] = []
-    for i, v in enumerate(values_raw):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"values[{i}]: expected a number, got {v!r}")
-        if axis in _INT_AXES and v != int(v):
-            raise ConfigError(f"values[{i}]: axis {axis} needs integers, got {v!r}")
-        values.append(float(v))
+    if axis in _INT_AXES:
+        values = [
+            _integer(f"values[{i}]", v, f"axis {axis} needs integers")
+            for i, v in enumerate(values_raw)
+        ]
+    else:
+        values = [_number(f"values[{i}]", v) for i, v in enumerate(values_raw)]
 
     with_simulation = raw.get("with_simulation", False)
     if not isinstance(with_simulation, bool):
@@ -182,10 +172,10 @@ def sweep_from_mapping(raw: dict) -> SweepSpec:
         )
     sim_slots = sim_seed = None
     if with_simulation:
-        sim_slots = _require_int(raw, "sim_slots")
+        sim_slots = _require(raw, "sim_slots", _integer)
         if sim_slots < 1:
             raise ConfigError(f"sim_slots: must be >= 1, got {sim_slots}")
-        sim_seed = _require_int(raw, "sim_seed")
+        sim_seed = _require(raw, "sim_seed", _integer)
         if sim_seed < 0:
             raise ConfigError(f"sim_seed: must be >= 0, got {sim_seed}")
     elif "sim_slots" in raw or "sim_seed" in raw:
@@ -194,6 +184,11 @@ def sweep_from_mapping(raw: dict) -> SweepSpec:
     base = scenario_from_mapping(
         {k: v for k, v in raw.items() if k in SCENARIO_KEYS}
     )
+    for i, value in enumerate(values):
+        try:
+            apply_axis(base, axis, value)
+        except ValueError as exc:
+            raise ConfigError(f"values[{i}]: {exc}") from exc
     return SweepSpec(
         base=base,
         axis=axis,
@@ -217,7 +212,7 @@ def load_config(path: str | Path) -> ScenarioConfig | SweepSpec:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past int's digit limit
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object at top level")
@@ -225,7 +220,7 @@ def load_config(path: str | Path) -> ScenarioConfig | SweepSpec:
         if "axis" in raw or "values" in raw:
             return sweep_from_mapping(raw)
         return scenario_from_mapping(raw)
-    except ValueError as exc:  # invariant re-checks inside the dataclasses
+    except ValueError as exc:  # a range check of a parameter class
         raise ConfigError(str(exc)) from exc
 
 

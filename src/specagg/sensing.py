@@ -20,6 +20,6 @@ class SensingParams:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_fa <= 1.0:
-            raise ValueError(f"p_fa must be in [0, 1], got {self.p_fa}")
+            raise ValueError(f"p_fa: must be in [0, 1], got {self.p_fa}")
         if not 0.0 <= self.p_md <= 1.0:
-            raise ValueError(f"p_md must be in [0, 1], got {self.p_md}")
+            raise ValueError(f"p_md: must be in [0, 1], got {self.p_md}")

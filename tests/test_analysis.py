@@ -213,8 +213,6 @@ def test_analyze_bundles_everything():
     assert result.mu_s == pytest.approx(0.475888323349973, rel=1e-12)
     assert result.primary_stable
     assert result.secondary_stable  # 0.3 < mu_s
-    assert result.secondary_stable_at(0.4)
-    assert not result.secondary_stable_at(0.48)
 
 
 def test_analyze_raises_on_unstable_primary():

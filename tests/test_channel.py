@@ -56,11 +56,23 @@ def test_channel_params_require_exactly_one_primary_rate_input():
         ("m_bands", 0),
         ("k_antennas", 0),
         ("p_bar_p", 1.2),
+        ("snr_s", math.nan),
+        ("spectral_eff_r", math.nan),
+        ("tau_b_frac", math.nan),
+        ("m_bands", math.nan),
+        ("k_antennas", math.nan),
+        ("p_bar_p", math.nan),
     ],
 )
 def test_channel_params_validation(field, value):
     with pytest.raises(ValueError, match=field):
         make_channel(**{field: value})
+
+
+@pytest.mark.parametrize("snr_p", [0.0, -1.0, math.nan])
+def test_snr_p_must_be_positive(snr_p):
+    with pytest.raises(ValueError, match=r"^snr_p: must be > 0"):
+        make_channel(p_bar_p=None, snr_p=snr_p)
 
 
 def test_su_effective_rate_examples():

@@ -190,6 +190,34 @@ def test_sweep_over_band_counts_omits_m_opt(tmp_path, capsys):
     assert all(row["m_opt"] is None for row in rows)
 
 
+def test_sweep_keeps_the_row_where_lambda_p_equals_mu_p(tmp_path, capsys):
+    # p_md = 0 makes mu_p = p_bar_p = 0.8 exactly: pi = 0, and the optimizer
+    # refuses the point, so m_opt is left empty.
+    config = write_config(
+        tmp_path, {**TINY, "p_md": 0.0, "axis": "lambda_p", "values": [0.5, 0.8]}
+    )
+    assert main(["sweep", "--config", config]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1].startswith("0.5,ok,") and not rows[1].endswith(",")
+    assert rows[2] == "0.8,ok,0.8,0.0,0.0,,,"
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+@pytest.mark.parametrize(
+    "axis,values,needle",
+    [
+        ("lambda_p", [0.1, 1.5], "values[1]: lambda_p: must be in [0, 1], got 1.5"),
+        ("m_bands", [2, 0], "values[1]: m_bands: must be >= 1, got 0"),
+    ],
+)
+def test_out_of_range_sweep_value_exits_one(tmp_path, capsys, command, axis, values, needle):
+    config = write_config(tmp_path, {**TINY, "axis": axis, "values": values})
+    assert main([command, "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert needle in captured.err
+
+
 def test_compare_golden_csv(tiny_sweep, capsys):
     assert main(["compare", "--config", tiny_sweep]) == 0
     assert capsys.readouterr().out == COMPARE_GOLDEN

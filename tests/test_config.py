@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -73,11 +74,55 @@ def test_snr_p_variant(tmp_path):
         ({"label": 7}, "label"),
         ({"snr_p": 4.0}, "snr_p / p_bar_p"),  # both present
         ({"extra_key": 1}, "extra_key"),
+        ({"m_bands": math.nan}, "m_bands"),
+        ({"m_bands": math.inf}, "m_bands"),
+        ({"k_antennas": 10**400}, "k_antennas"),
+        ({"snr_s": math.nan}, "snr_s"),
+        ({"snr_s": math.inf}, "snr_s"),
+        ({"spectral_eff_r": math.nan}, "spectral_eff_r"),
+        ({"tau_b_frac": 10**400}, "tau_b_frac"),
+        ({"p_bar_p": math.nan}, "p_bar_p"),
+        ({"lambda_p": -math.inf}, "lambda_p"),
     ],
 )
 def test_scenario_violations_name_the_key(tmp_path, mutation, needle):
     with pytest.raises(ConfigError, match=needle):
         load_config(write(tmp_path, {**REFERENCE, **mutation}))
+
+
+@pytest.mark.parametrize(
+    "snr_p", [0.0, math.nan, math.inf, pytest.param(10**400, id="10**400")]
+)
+def test_snr_p_must_be_a_finite_positive_number(tmp_path, snr_p):
+    payload = {k: v for k, v in REFERENCE.items() if k != "p_bar_p"}
+    with pytest.raises(ConfigError, match="snr_p"):
+        load_config(write(tmp_path, {**payload, "snr_p": snr_p}))
+
+
+@pytest.mark.parametrize(
+    "mutation,message",
+    [
+        ({"p_fa": 1.5}, "p_fa: must be in [0, 1], got 1.5"),
+        ({"lambda_s": 2}, "lambda_s: must be in [0, 1], got 2.0"),
+        ({"tau_b_frac": -0.5}, "tau_b_frac: must be in [0, 1], got -0.5"),
+        ({"m_bands": 0}, "m_bands: must be >= 1, got 0"),
+        ({"k_antennas": -2.0}, "k_antennas: must be >= 1, got -2"),
+        ({"spectral_eff_r": 0}, "spectral_eff_r: must be > 0, got 0.0"),
+        ({"snr_s": math.nan}, "snr_s: expected a finite number, got nan"),
+        ({"m_bands": 2.5}, "m_bands: expected an integer, got 2.5"),
+    ],
+)
+def test_violation_messages_read_key_colon_constraint(tmp_path, mutation, message):
+    with pytest.raises(ConfigError) as info:
+        load_config(write(tmp_path, {**REFERENCE, **mutation}))
+    assert str(info.value) == message
+
+
+def test_integer_literal_past_the_digit_limit_is_a_config_error(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(REFERENCE)[:-1] + ', "m_bands": ' + "9" * 5000 + "}")
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        load_config(path)
 
 
 def test_missing_keys_are_reported(tmp_path):
@@ -113,6 +158,14 @@ def test_sweep_without_simulation(tmp_path):
     assert spec.sim_slots is None
 
 
+def test_integer_axis_values_are_stored_as_int(tmp_path):
+    spec = load_config(
+        write(tmp_path, {**REFERENCE, "axis": "k_antennas", "values": [1, 4.0]})
+    )
+    assert spec.values == [1, 4]
+    assert all(type(v) is int for v in spec.values)
+
+
 @pytest.mark.parametrize(
     "mutation,needle",
     [
@@ -123,6 +176,22 @@ def test_sweep_without_simulation(tmp_path):
         ({"axis": "lambda_p", "values": [0.1], "with_simulation": 1}, "with_simulation"),
         ({"axis": "lambda_p", "values": [0.1], "with_simulation": True}, "sim_slots"),
         ({"axis": "lambda_p", "values": [0.1], "sim_slots": 10}, "sim_slots"),
+        ({"axis": "m_bands", "values": [math.nan]}, r"values\[0\]"),
+        ({"axis": "k_antennas", "values": [2, math.inf]}, r"values\[1\]"),
+        ({"axis": "m_bands", "values": [10**400]}, r"values\[0\]"),
+        ({"axis": "lambda_p", "values": [math.nan]}, r"values\[0\]"),
+        ({"axis": "lambda_p", "values": [0.1, 1.5]}, r"values\[1\]: lambda_p"),
+        ({"axis": "m_bands", "values": [0]}, r"values\[0\]: m_bands"),
+        (
+            {"axis": "p_fa", "values": [0.1], "with_simulation": True,
+             "sim_slots": math.inf, "sim_seed": 1},
+            "sim_slots",
+        ),
+        (
+            {"axis": "p_fa", "values": [0.1], "with_simulation": True,
+             "sim_slots": 10, "sim_seed": 10**400},
+            "sim_seed",
+        ),
     ],
 )
 def test_sweep_violations(tmp_path, mutation, needle):
