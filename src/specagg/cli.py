@@ -32,6 +32,10 @@ from .simulate import Mode, SimConfig, run
 __all__ = ["main"]
 
 
+class _UsageError(Exception):
+    """A command-line value out of range."""
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse parser that exits 1 (not 2) on usage errors."""
 
@@ -89,6 +93,14 @@ def _load_sweep(path) -> SweepSpec:
     return cfg
 
 
+def _sim_config(**fields) -> SimConfig:
+    """A SimConfig from --slots/--seed/--warmup; a value out of range is a usage error."""
+    try:
+        return SimConfig(**fields)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def cmd_analyze(args) -> str:
     scenario = _load_scenario(args.config)
     result = analyze(scenario.channel, scenario.sensing, scenario.traffic)
@@ -138,7 +150,7 @@ def cmd_optimize(args) -> str:
 
 def cmd_simulate(args) -> str:
     scenario = _load_scenario(args.config)
-    cfg = SimConfig(
+    cfg = _sim_config(
         scenario=scenario,
         mode=Mode[args.mode.upper()],
         slots=args.slots,
@@ -194,7 +206,7 @@ def cmd_sweep(args) -> str:
         mu_s_simulated = std_err = None
         if spec.with_simulation:
             report = run(
-                SimConfig(
+                _sim_config(
                     scenario=scenario,
                     mode=Mode.DOMINANT,
                     slots=sim_slots,
@@ -295,6 +307,9 @@ def main(argv=None) -> int:
         text = args.func(args)
     except ConfigError as exc:
         print(f"specagg: config error: {exc}", file=sys.stderr)
+        return 1
+    except _UsageError as exc:
+        print(f"specagg: usage error: {exc}", file=sys.stderr)
         return 1
     except UnstablePrimaryError as exc:
         print(f"specagg: {exc}", file=sys.stderr)

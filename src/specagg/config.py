@@ -229,7 +229,7 @@ def apply_axis(scenario: ScenarioConfig, axis: str, value: float) -> ScenarioCon
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis: expected one of {SWEEP_AXES}, got {axis!r}")
     if axis in _INT_AXES:
-        value = int(value)
+        value = _integer(axis, value)
     if axis in ("p_fa", "p_md"):
         return replace(scenario, sensing=replace(scenario.sensing, **{axis: value}))
     if axis in ("lambda_p", "lambda_s"):

@@ -28,6 +28,13 @@ causal run.  A block still unsettled after _MAX_PASSES passes takes z from
 _slot_core, slot by slot, so correctness never depends on how fast the
 passes settle.
 
+--trace renders a block at a time too: every field of the block's slots
+becomes a column of one (slots, width) byte matrix, integers as decimal
+digits four at a time from a lookup table with NUL for each leading zero,
+flags as "false" or "true" padded with a NUL, and the key text between
+them broadcast to every row.  Dropping the NULs leaves the NDJSON lines,
+which are written as bytes.
+
 step() and _slot_core are the literal per-slot reference of the protocol,
 the way the enumeration oracle backs the closed form: the tests check run()
 against a loop of step() calls, field for field.
@@ -106,14 +113,14 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         if self.slots < 1:
-            raise ValueError(f"slots must be >= 1, got {self.slots}")
+            raise ValueError(f"slots: must be >= 1, got {self.slots}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
         if self.warmup is None:
             object.__setattr__(self, "warmup", self.slots // 10)
         if not 0 <= self.warmup < self.slots:
             raise ValueError(
-                f"need slots > warmup >= 0, got slots={self.slots}, warmup={self.warmup}"
+                f"warmup: must be in [0, slots={self.slots}), got {self.warmup}"
             )
 
 
@@ -217,10 +224,13 @@ class ProtocolStreams:
     (sense_if_busy, sense_if_idle, pu_channel_ok, su_uniform,
      primary_arrivals, secondary_arrival)
     where the first three and primary_arrivals are band bitmasks.  next_slot
-    buffers _CHUNK slots drawn by the same path, so a stream serves either
-    next_slot or draw_block; draw_block refuses to skip buffered slots.
+    buffers slots drawn by the same path, 2**8 at first and twice as many on
+    each refill up to _CHUNK, so a short run draws little more than it uses.
+    A stream serves either next_slot or draw_block; draw_block refuses to
+    skip buffered slots.
     """
 
+    _FIRST_REFILL = 1 << 8
     _CHUNK = 1 << 15
 
     def __init__(self, scenario: ScenarioConfig, seed: int):
@@ -246,6 +256,7 @@ class ProtocolStreams:
         self.consumed = 0
         self._pos = 0
         self._size = 0
+        self._refill_size = self._FIRST_REFILL
 
     def _draw(self, n: int) -> SlotDraws:
         m = self._m
@@ -281,9 +292,10 @@ class ProtocolStreams:
             self._su_u,
             self._arr_p,
             self._arr_s,
-        ) = _slot_columns(self._draw(self._CHUNK))
+        ) = _slot_columns(self._draw(self._refill_size))
         self._pos = 0
-        self._size = self._CHUNK
+        self._size = self._refill_size
+        self._refill_size = min(2 * self._refill_size, self._CHUNK)
 
     def next_slot(self) -> tuple[int, int, int, float, int, bool]:
         if self._pos >= self._size:
@@ -563,32 +575,91 @@ def _drift_slope(n: int, sum_y: int, sum_iy: int) -> float:
     return 6 * (2 * sum_iy - (n - 1) * sum_y) / (n * (n * n - 1))
 
 
-_TRACE_LINE = (
-    '{"slot":%d,"occupancy":%d,"declared_idle":%d,"su_transmitted":%s,'
-    '"su_success":%s,"su_departure":%s,"pu_departures":%d,"collision":%s,'
-    '"primary_arrivals":%d,"secondary_arrival":%s}\n'
+# The text of one trace line around its ten values, as byte rows.
+_TRACE_KEYS = [
+    np.frombuffer(text.encode(), dtype=np.uint8)
+    for text in (
+        '{"slot":@,"occupancy":@,"declared_idle":@,"su_transmitted":@,'
+        '"su_success":@,"su_departure":@,"pu_departures":@,"collision":@,'
+        '"primary_arrivals":@,"secondary_arrival":@}\n'
+    ).split("@")
+]
+_FLAG_TEXT = np.frombuffer(b"false" b"true\0", dtype=np.uint8).reshape(2, 5)
+# 1, 10, ..., 10**19: every power of ten below 2**64
+_POWERS_OF_TEN = np.array([10**k for k in range(20)], dtype=np.uint64)
+# Row d keeps the last d of 20 digits and clears the rest; 0 has one digit.
+_DIGIT_MASKS = np.array(
+    [[0] * (20 - max(d, 1)) + [0xFF] * max(d, 1) for d in range(21)], dtype=np.uint8
 )
 
 
-def _trace_lines(first: int, block: _Block, draws: SlotDraws) -> str:
-    """One compact JSON object per slot of the block, slots numbered from first."""
+@lru_cache(maxsize=1)
+def _group_digits() -> np.ndarray:
+    """The four ASCII digits of each of 0..9999, zero-padded; built on first use."""
+    groups = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    table = (groups + ord("0")).astype(np.uint8)
+    table.flags.writeable = False
+    return table
 
-    def flags(x: np.ndarray) -> list[str]:
-        return np.where(x, "true", "false").tolist()
 
-    rows = zip(
-        range(first, first + len(block.qs)),
-        _pack_slot_masks(block.occupancy),
-        _pack_slot_masks(block.declared),
-        flags(block.su_transmitted),
-        flags(block.su_success),
-        flags(block.su_departure),
-        _pack_slot_masks(block.pu_departures),
-        flags(block.collision),
-        _pack_slot_masks(draws.primary_arrivals),
-        flags(draws.secondary_arrival),
+def _decimal_text(values: np.ndarray, top: int) -> np.ndarray:
+    """uint64 values up to top as (n, width) right-aligned ASCII decimals,
+    four digits at a time, with NUL for each leading zero."""
+    width = 4 * -(-len(str(top)) // 4)
+    groups = values[:, None] // _POWERS_OF_TEN[width - 4 :: -4] % 10_000
+    text = np.take(_group_digits(), groups, axis=0).reshape(len(values), width)
+    digits = np.searchsorted(_POWERS_OF_TEN, values, side="right")
+    text &= np.take(_DIGIT_MASKS[:, -width:], digits, axis=0)
+    return text
+
+
+def _flag_text(flags: np.ndarray) -> np.ndarray:
+    """Each flag as "false" or as "true" and a NUL; (n, 5) bytes."""
+    return np.take(_FLAG_TEXT, flags.view(np.uint8), axis=0)
+
+
+def _mask_text(bits: np.ndarray) -> np.ndarray:
+    """The band bitmask of each slot of a (bands, slots) boolean matrix as text.
+
+    Up to 64 bands the mask is one uint64 word; wider masks are Python ints,
+    left-aligned and NUL-padded.
+    """
+    m = bits.shape[0]
+    if m <= 64:
+        return _decimal_text(_BAND_WEIGHTS[:m] @ bits, (1 << m) - 1)
+    text = np.array([str(mask) for mask in _pack_slot_masks(bits)], dtype=bytes)
+    return text.view(np.uint8).reshape(len(text), -1)
+
+
+def _trace_lines(first: int, block: _Block, draws: SlotDraws) -> np.ndarray:
+    """One compact JSON object per slot of the block, slots numbered from first.
+
+    The block is rendered as one (slots, width) byte matrix: the key text
+    is copied to every row, then each value fills its NUL-padded column.
+    Dropping the NULs leaves the lines as bytes.
+    """
+    n = len(block.qs)
+    values = (
+        _decimal_text(np.arange(first, first + n, dtype=np.uint64), first + n - 1),
+        _mask_text(block.occupancy),
+        _mask_text(block.declared),
+        _flag_text(block.su_transmitted),
+        _flag_text(block.su_success),
+        _flag_text(block.su_departure),
+        _mask_text(block.pu_departures),
+        _flag_text(block.collision),
+        _mask_text(draws.primary_arrivals),
+        _flag_text(draws.secondary_arrival),
     )
-    return "".join(_TRACE_LINE % row for row in rows)
+    parts = [_TRACE_KEYS[0]]
+    for value, key in zip(values, _TRACE_KEYS[1:]):
+        parts += (np.zeros(value.shape[1], dtype=np.uint8), key)
+    ends = np.cumsum([len(part) for part in parts])
+    lines = np.empty((n, ends[-1]), dtype=np.uint8)
+    lines[:] = np.concatenate(parts)
+    for value, end in zip(values, ends[1::2]):
+        lines[:, end - value.shape[1] : end] = value
+    return lines[lines != 0]
 
 
 def run(cfg: SimConfig, trace_path: str | Path | None = None) -> SimReport:
@@ -623,7 +694,7 @@ def run(cfg: SimConfig, trace_path: str | Path | None = None) -> SimReport:
     batch_counts = np.zeros(BATCH_COUNT, dtype=np.int64)
     packed_successes: list[tuple[np.ndarray, int]] = []
 
-    trace_file = open(trace_path, "w") if trace_path is not None else None
+    trace_file = open(trace_path, "wb") if trace_path is not None else None
     try:
         for first in range(0, cfg.slots, block_slots):
             draws = streams.draw_block(min(block_slots, cfg.slots - first))

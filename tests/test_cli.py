@@ -180,6 +180,27 @@ def test_sweep_with_simulation_is_byte_identical(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, flags, needle",
+    [
+        ("simulate", ["--slots", "0"], "slots: must be >= 1, got 0"),
+        ("simulate", ["--seed", "-1"], "seed: must be >= 0, got -1"),
+        ("simulate", ["--slots", "100", "--warmup", "100"], "warmup: must be"),
+        ("simulate", ["--warmup", "-1"], "warmup: must be"),
+        ("sweep", ["--slots", "0"], "slots: must be >= 1, got 0"),
+        ("sweep", ["--seed", "-1"], "seed: must be >= 0, got -1"),
+    ],
+)
+def test_out_of_range_run_flag_is_a_usage_error(tmp_path, capsys, command, flags, needle):
+    sweep = {"axis": "lambda_p", "values": [0.32], "with_simulation": True,
+             "sim_slots": 2000, "sim_seed": 3}  # fmt: skip
+    config = write_config(tmp_path, {**TINY, **sweep} if command == "sweep" else TINY)
+    assert main([command, "--config", config, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"specagg: usage error: {needle}" in captured.err
+
+
 def test_sweep_over_band_counts_omits_m_opt(tmp_path, capsys):
     config = write_config(
         tmp_path, {**TINY, "axis": "m_bands", "values": [1, 2]}, name="bands.json"

@@ -226,3 +226,20 @@ def test_apply_axis_touches_the_right_component(tmp_path):
     assert base.channel.m_bands == 13
     with pytest.raises(ConfigError, match="axis"):
         apply_axis(base, "snr_s", 2.0)
+
+
+@pytest.mark.parametrize(
+    "axis, value, needle",
+    [
+        ("m_bands", 2.5, "m_bands: expected an integer, got 2.5"),
+        ("k_antennas", 1e-9 + 2, "k_antennas: expected an integer"),
+        ("m_bands", math.nan, "m_bands: expected a finite number, got nan"),
+        ("k_antennas", math.inf, "k_antennas: expected a finite number, got inf"),
+        ("m_bands", True, "m_bands: expected a number, got True"),
+    ],
+)
+def test_apply_axis_rejects_a_non_integral_count(tmp_path, axis, value, needle):
+    base = load_config(write(tmp_path, REFERENCE))
+    with pytest.raises(ConfigError) as info:
+        apply_axis(base, axis, value)
+    assert needle in str(info.value)

@@ -288,6 +288,59 @@ def test_trace_replay_reconstructs_final_queues(tmp_path):
     assert qs == report.final_queue_s
 
 
+# One slot's trace line, formatted field by field: the literal reference for
+# the trace bytes, as step() is for the report.
+TRACE_LINE = (
+    '{"slot":%d,"occupancy":%d,"declared_idle":%d,"su_transmitted":%s,'
+    '"su_success":%s,"su_departure":%s,"pu_departures":%d,"collision":%s,'
+    '"primary_arrivals":%d,"secondary_arrival":%s}\n'
+)
+
+
+def reference_trace(cfg: SimConfig) -> bytes:
+    """The --trace file of cfg, one TRACE_LINE per step() outcome."""
+
+    def flag(x: bool) -> str:
+        return "true" if x else "false"
+
+    streams = ProtocolStreams(cfg.scenario, cfg.seed)
+    state = QueueState(primary=[0] * cfg.scenario.channel.m_bands, secondary=0)
+    lines = []
+    for _ in range(cfg.slots):
+        state, out = step(state, cfg, streams)
+        lines.append(
+            TRACE_LINE
+            % (
+                out.slot,
+                out.occupancy,
+                out.declared_idle,
+                flag(out.su_transmitted),
+                flag(out.su_success),
+                flag(out.su_departure),
+                out.pu_departures,
+                flag(out.collision),
+                out.primary_arrivals,
+                flag(out.secondary_arrival),
+            )
+        )
+    return "".join(lines).encode()
+
+
+# masks of one band, of 63 and 64 bands (one uint64 word) and of 65 and 130
+# (two and three words); the horizon crosses slot 10**4, where the slot number
+# outgrows a four-digit group, and every m > 1 crosses block boundaries
+@pytest.mark.parametrize("m_bands", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_trace_matches_step_reference(m_bands, mode, tmp_path):
+    scenario = reference_scenario(lambda_s=0.3, m_bands=m_bands, k_antennas=min(8, m_bands))
+    cfg = SimConfig(scenario=scenario, mode=mode, slots=10_050, seed=67)
+    path = tmp_path / "trace.ndjson"
+    run(cfg, trace_path=path)
+    got, want = path.read_bytes(), reference_trace(cfg)
+    assert got.splitlines() == want.splitlines()  # names the first line that differs
+    assert got == want
+
+
 def test_primary_arrival_stream_is_independent_of_secondary_load():
     # changing lambda_s must not perturb primary arrivals or channel draws
     a = small_scenario(lambda_s=0.0)
