@@ -175,8 +175,16 @@ def cmd_simulate(args) -> str:
 
 def cmd_sweep(args) -> str:
     spec = _load_sweep(args.config)
-    sim_slots = args.slots if args.slots is not None else spec.sim_slots
-    sim_seed = args.seed if args.seed is not None else spec.sim_seed
+    slots = args.slots if args.slots is not None else spec.sim_slots
+    seed = args.seed if args.seed is not None else spec.sim_seed
+    # built before any row, so a bad --slots or --seed is refused even when no
+    # row is simulated; 1 and 0 stand in when the sweep sets neither
+    sim = _sim_config(
+        scenario=spec.base,
+        mode=Mode.DOMINANT,
+        slots=1 if slots is None else slots,
+        seed=0 if seed is None else seed,
+    )
     header = [
         "axis_value",
         "status",
@@ -205,14 +213,7 @@ def cmd_sweep(args) -> str:
                 pass  # lambda_p == mu_p: analyze admits pi = 0, the optimizer does not
         mu_s_simulated = std_err = None
         if spec.with_simulation:
-            report = run(
-                _sim_config(
-                    scenario=scenario,
-                    mode=Mode.DOMINANT,
-                    slots=sim_slots,
-                    seed=sim_seed + index,
-                )
-            )
+            report = run(replace(sim, scenario=scenario, seed=sim.seed + index))
             mu_s_simulated = report.empirical_mu_s
             std_err = report.std_err_mu_s
         rows.append(

@@ -14,19 +14,21 @@ whether the secondary transmits in slot t when it declares some band idle.
 Given z, band b is served when its primary link succeeds and the secondary
 did not both misdetect it and transmit, so every primary queue follows its
 own Lindley recursion q_{t+1} = max(q_t - s_t, 0) + a_t: one cumsum and one
-maximum.accumulate per block, in int32 while the block's backlogs are sure
-to fit and in int64 otherwise.  Occupancy, the declared-idle set, the
-aggregate width, collisions and secondary successes follow from the queues
-by bitwise operations on boolean arrays, and the secondary backlog is a
-second Lindley recursion served by those successes.  DOMINANT mode has
-z = 1: one pass per block.  ORIGINAL mode has z_t = [q_s > 0 at the start of
-slot t], which the block itself determines, so it repeats the pass with z
-taken from the previous one until z stops changing; what does not depend on
-z is computed once per block.  Slot t of a pass depends only on z before t,
-so each pass settles at least one more slot and the fixed point is the
-causal run.  A block still unsettled after _MAX_PASSES passes takes z from
-_slot_core, slot by slot, so correctness never depends on how fast the
-passes settle.
+maximum.accumulate per block in one buffer of slots + 1 columns, the
+backlog before every slot and after the last, in int32 while the block's
+backlogs are sure to fit and in int64 otherwise.  Occupancy, the
+declared-idle set, the aggregate width, collisions and secondary successes
+follow from the queues by bitwise operations on boolean arrays, with counts
+summed in the narrowest unsigned dtype that holds them, and the secondary
+backlog is a second Lindley recursion served by those successes.  DOMINANT
+mode has z = 1, an array of ones: one pass per block.  ORIGINAL mode has
+z_t = [q_s > 0 at the start of slot t], which the block itself determines,
+so it repeats the pass with z taken from the previous one until z stops
+changing; what does not depend on z is computed once per block.  Slot t of
+a pass depends only on z before t, so each pass settles at least one more
+slot and the fixed point is the causal run.  A block still unsettled after
+_MAX_PASSES passes takes z from _slot_core, slot by slot, so correctness
+never depends on how fast the passes settle.
 
 --trace renders a block at a time too: every field of the block's slots
 becomes a column of one (slots, width) byte matrix, integers as decimal
@@ -50,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -122,6 +124,12 @@ class SimConfig:
             raise ValueError(
                 f"warmup: must be in [0, slots={self.slots}), got {self.warmup}"
             )
+
+    @cached_property
+    def _success_table(self) -> tuple[float, ...]:
+        """_success_by_width of the scenario, looked up once per config: step()
+        needs it every slot, and the lru_cache lookup hashes the whole channel."""
+        return _success_by_width(self.scenario.channel)
 
 
 @dataclass
@@ -396,7 +404,7 @@ def step(
         (1 << m) - 1,
         draws,
         cfg.mode is Mode.DOMINANT,
-        _success_by_width(cfg.scenario.channel),
+        cfg._success_table,
     )
     outcome = SlotOutcome(
         slot=slot,
@@ -430,25 +438,34 @@ def _lindley(q0, arrivals: np.ndarray, service: np.ndarray):
     """Backlogs of q' = max(q - service, 0) + arrivals along the last axis.
 
     Returns the backlog at the start of every slot and, as int64, after the
-    last one.  With S the running sum of arrivals - service, the backlog
-    after slot t is S_t + max(q0, max_{k<=t}(arrivals_k - S_k)).  Every term
-    lies within max(q0) + 2n + 1 of zero, so the scan runs in int32 whenever
-    that fits below _NARROW_LIMIT and in int64 otherwise.
+    last one.  Both come from one buffer of n + 1 columns, column t holding
+    the backlog before slot t and column n the one after the block.  With
+    S_0 = 0 and S_t the sum of arrivals - service over slots 0..t-1, the
+    backlog before slot t is S_t + max(q0, max_{k<t}(arrivals_k - S_{k+1})):
+    the buffer takes q0 and the terms arrivals_k - S_{k+1}, is scanned by
+    maximum.accumulate and adds S in place.  |S_t| <= n and each term lies
+    in [-n, n + 1], so every value the scan holds lies within
+    max(q0) + 2n + 1 of zero: it runs in int32 whenever that fits below
+    _NARROW_LIMIT and in int64 otherwise.
     """
     q0 = np.asarray(q0)
     n = arrivals.shape[-1]
     dtype = np.int32 if int(q0.max()) + 2 * n < _NARROW_LIMIT else np.int64
-    total = np.subtract(arrivals.view(np.int8), service.view(np.int8)).cumsum(
-        axis=-1, dtype=dtype
+    shape = arrivals.shape[:-1] + (n + 1,)
+    total = np.empty(shape, dtype=dtype)
+    total[..., 0] = 0
+    np.cumsum(
+        np.subtract(arrivals.view(np.int8), service.view(np.int8)),
+        axis=-1,
+        dtype=dtype,
+        out=total[..., 1:],
     )
-    after = np.subtract(arrivals, total, dtype=dtype)
-    np.maximum.accumulate(after, axis=-1, out=after)
-    np.maximum(after, q0.astype(dtype)[..., None], out=after)
-    after += total
-    start = np.empty_like(after)
-    start[..., 0] = q0
-    start[..., 1:] = after[..., :-1]
-    return start, after[..., -1].astype(np.int64)
+    q = np.empty(shape, dtype=dtype)
+    q[..., 0] = q0
+    np.subtract(arrivals.view(np.int8), total[..., 1:], out=q[..., 1:], dtype=dtype)
+    np.maximum.accumulate(q, axis=-1, out=q)
+    q += total
+    return q[..., :-1], q[..., -1].astype(np.int64)
 
 
 class _Block(NamedTuple):
@@ -490,7 +507,7 @@ def _block_draws(draws: SlotDraws) -> _BlockDraws:
 def _block_pass(block_draws: _BlockDraws, qp0, qs0, willing, success_by_width) -> _Block:
     """Execute a block given whether the secondary transmits when it can.
 
-    willing is True (DOMINANT) or, per slot, [q_s > 0 at slot start].  The
+    willing holds, per slot, True (DOMINANT) or [q_s > 0 at slot start].  The
     band sets are bitwise: a band is served unless the secondary both
     misdetects it and transmits, and an occupied band is declared idle as
     sense_if_busy says, an empty one as sense_if_idle says.
@@ -500,10 +517,11 @@ def _block_pass(block_draws: _BlockDraws, qp0, qs0, willing, success_by_width) -
     qp, qp_end = _lindley(qp0, draws.primary_arrivals, served)
     occupancy = qp > 0
     declared = draws.sense_if_idle ^ (occupancy & flip)
-    width = declared.view(np.uint8).sum(axis=0, dtype=np.intp)
+    # counted in the narrowest dtype that holds m, which sums several times faster
+    width = declared.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(len(declared)))
     su_tx = willing & (width > 0)
     collision = su_tx & (draws.sense_if_busy & occupancy).any(axis=0)
-    success = su_tx & ~collision & (draws.su_uniform < success_by_width[width])
+    success = su_tx & ~collision & (draws.su_uniform < success_by_width.take(width))
     qs, qs_end = _lindley(qs0, draws.secondary_arrival, success)
     return _Block(
         qp=qp,
@@ -699,7 +717,10 @@ def run(cfg: SimConfig, trace_path: str | Path | None = None) -> SimReport:
         for first in range(0, cfg.slots, block_slots):
             draws = streams.draw_block(min(block_slots, cfg.slots - first))
             if dominant:
-                block = _block_pass(_block_draws(draws), qp, qs, True, success_by_width)
+                # an array, not True: numpy broadcasts a bool array with a Python
+                # scalar about 20x slower than with another bool array
+                willing = np.ones(len(draws.su_uniform), dtype=bool)
+                block = _block_pass(_block_draws(draws), qp, qs, willing, success_by_width)
             else:
                 block = _original_block(draws, qp, qs, success_by_width)
             arrivals_s_total += int(np.count_nonzero(draws.secondary_arrival))
@@ -714,8 +735,10 @@ def run(cfg: SimConfig, trace_path: str | Path | None = None) -> SimReport:
                     np.arange(len(window_qs), dtype=np.int64) @ window_qs
                 )
                 sum_qs += block_sum_qs
-                nonempty += np.count_nonzero(block.occupancy[:, lo:], axis=1)
-                departures += np.count_nonzero(block.pu_departures[:, lo:], axis=1)
+                # summed as bytes in the narrowest dtype that holds the window
+                count = np.min_scalar_type(len(window_qs))
+                nonempty += block.occupancy[:, lo:].view(np.uint8).sum(1, dtype=count)
+                departures += block.pu_departures[:, lo:].view(np.uint8).sum(1, dtype=count)
                 collisions += int(np.count_nonzero(block.collision[lo:]))
                 su_departures += int(np.count_nonzero(block.su_departure[lo:]))
                 success = block.su_success[lo:]

@@ -201,6 +201,33 @@ def test_out_of_range_run_flag_is_a_usage_error(tmp_path, capsys, command, flags
     assert f"specagg: usage error: {needle}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        # no row is simulated
+        {"axis": "lambda_p", "values": [0.0, 0.32]},
+        # the one simulated row is skipped: lambda_p = 0.7 > mu_p
+        {"axis": "lambda_p", "values": [0.7], "with_simulation": True,
+         "sim_slots": 2000, "sim_seed": 3},  # fmt: skip
+    ],
+)
+@pytest.mark.parametrize(
+    "flags, needle",
+    [
+        (["--slots", "0"], "slots: must be >= 1, got 0"),
+        (["--seed", "-1"], "seed: must be >= 0, got -1"),
+    ],
+)
+def test_out_of_range_run_flag_is_refused_when_no_row_runs(
+    tmp_path, capsys, sweep, flags, needle
+):
+    config = write_config(tmp_path, {**TINY, **sweep})
+    assert main(["sweep", "--config", config, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"specagg: usage error: {needle}" in captured.err
+
+
 def test_sweep_over_band_counts_omits_m_opt(tmp_path, capsys):
     config = write_config(
         tmp_path, {**TINY, "axis": "m_bands", "values": [1, 2]}, name="bands.json"

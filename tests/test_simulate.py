@@ -502,6 +502,29 @@ def test_run_equals_step_reference_across_real_blocks(m_bands, slots, mode):
     assert_same_report(run(cfg), reference_run(cfg))
 
 
+@pytest.mark.parametrize("m_bands", [255, 256])
+@pytest.mark.parametrize(
+    "rates",
+    [
+        dict(lambda_p=0.5),
+        # every band declared idle in every slot, and in DOMINANT mode every
+        # primary is always blocked: widths reach m and band counts the window
+        dict(lambda_p=0.9, p_fa=0.0, p_md=1.0),
+    ],
+)
+@pytest.mark.parametrize("mode", list(Mode))
+def test_run_equals_step_reference_where_count_dtypes_widen(m_bands, rates, mode):
+    # widths are counted in uint8 up to 255 bands and in uint16 from 256; the
+    # per-band counts of a block likewise over windows of 255 and 256 slots.
+    # warmup leaves 255 measured slots in the first block and the second
+    # block, the last, has 256.
+    block = simulate._block_slots(m_bands)
+    warmup = block - 255
+    scenario = small_scenario(lambda_s=0.3, m_bands=m_bands, **rates)
+    cfg = SimConfig(scenario=scenario, mode=mode, slots=block + 256, seed=67, warmup=warmup)
+    assert_same_report(run(cfg), reference_run(cfg))
+
+
 @PROPERTY
 @given(sim_configs(), st.sampled_from([None, 5, 64]) | st.integers(1, 300))
 def test_run_equals_step_reference_with_int64_scans(monkeypatch, case, block):
