@@ -30,8 +30,6 @@ from .config import ConfigError, ScenarioConfig, SweepSpec, apply_axis, load_con
 from .optimize import OptimizeResult, optimize_sensed_bands
 from .sensing import SensingParams
 from .simulate import (
-    BoundaryCheck,
-    BoundaryRun,
     Mode,
     ProtocolStreams,
     QueueState,
@@ -39,7 +37,6 @@ from .simulate import (
     SimReport,
     SlotOutcome,
     Verdict,
-    boundary_check,
     run,
     step,
 )
@@ -48,9 +45,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticalResult",
-    "BoundaryCheck",
     "BoundaryPoint",
-    "BoundaryRun",
     "ChannelParams",
     "ConfigError",
     "Mode",
@@ -69,7 +64,6 @@ __all__ = [
     "Verdict",
     "analyze",
     "apply_axis",
-    "boundary_check",
     "empty_probability",
     "load_config",
     "optimize_sensed_bands",

@@ -20,15 +20,14 @@ backlogs are sure to fit and in int64 otherwise.  Occupancy, the
 declared-idle set, the aggregate width, collisions and secondary successes
 follow from the queues by bitwise operations on boolean arrays, with counts
 summed in the narrowest unsigned dtype that holds them, and the secondary
-backlog is a second Lindley recursion served by those successes.  DOMINANT
-mode has z = 1, an array of ones: one pass per block.  ORIGINAL mode has
-z_t = [q_s > 0 at the start of slot t], which the block itself determines,
-so it repeats the pass with z taken from the previous one until z stops
-changing; what does not depend on z is computed once per block.  Slot t of
-a pass depends only on z before t, so each pass settles at least one more
-slot and the fixed point is the causal run.  A block still unsettled after
-_MAX_PASSES passes takes z from _slot_core, slot by slot, so correctness
-never depends on how fast the passes settle.
+backlog is a second Lindley recursion served by those successes.  Every
+block starts from z = 1, an array of ones, and what does not depend on z is
+computed once per block.  DOMINANT mode has z = 1 and stops after that
+pass.  ORIGINAL mode has z_t = [q_s > 0 at the start of slot t], which the
+block itself determines, so it repeats the pass with z taken from the
+previous one until z stops changing.  Slot t of a pass depends only on z
+before t, so pass k settles the first k slots: a block of n slots reaches
+the fixed point within n + 1 passes, and that fixed point is the causal run.
 
 --trace renders a block at a time too: every field of the block's slots
 becomes a column of one (slots, width) byte matrix, integers as decimal
@@ -54,11 +53,10 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import analyze
 from .channel import ChannelParams, pu_success_prob, su_success_prob
 from .config import ScenarioConfig
 
@@ -69,13 +67,10 @@ __all__ = [
     "QueueState",
     "SlotOutcome",
     "SimReport",
-    "BoundaryRun",
-    "BoundaryCheck",
     "ProtocolStreams",
     "SlotDraws",
     "step",
     "run",
-    "boundary_check",
 ]
 
 BATCH_COUNT = 100
@@ -127,8 +122,8 @@ class SimConfig:
 
     @cached_property
     def _success_table(self) -> tuple[float, ...]:
-        """_success_by_width of the scenario, looked up once per config: step()
-        needs it every slot, and the lru_cache lookup hashes the whole channel."""
+        """_success_by_width of the scenario, built once per config: step()
+        needs it every slot, and building it calls su_success_prob m times."""
         return _success_by_width(self.scenario.channel)
 
 
@@ -293,14 +288,14 @@ class ProtocolStreams:
         return self._draw(n)
 
     def _refill(self) -> None:
-        (
-            self._sense_busy,
-            self._sense_idle,
-            self._pu_ok,
-            self._su_u,
-            self._arr_p,
-            self._arr_s,
-        ) = _slot_columns(self._draw(self._refill_size))
+        # per-slot lists in next_slot() order, band sets as bitmasks
+        draws = self._draw(self._refill_size)
+        self._sense_busy = _pack_slot_masks(draws.sense_if_busy)
+        self._sense_idle = _pack_slot_masks(draws.sense_if_idle)
+        self._pu_ok = _pack_slot_masks(draws.pu_channel_ok)
+        self._su_u = draws.su_uniform.tolist()
+        self._arr_p = _pack_slot_masks(draws.primary_arrivals)
+        self._arr_s = draws.secondary_arrival.tolist()
         self._pos = 0
         self._size = self._refill_size
         self._refill_size = min(2 * self._refill_size, self._CHUNK)
@@ -321,19 +316,6 @@ class ProtocolStreams:
         )
 
 
-def _slot_columns(draws: SlotDraws) -> tuple[list, ...]:
-    """The draws as per-slot lists in next_slot() order, band sets as bitmasks."""
-    return (
-        _pack_slot_masks(draws.sense_if_busy),
-        _pack_slot_masks(draws.sense_if_idle),
-        _pack_slot_masks(draws.pu_channel_ok),
-        draws.su_uniform.tolist(),
-        _pack_slot_masks(draws.primary_arrivals),
-        draws.secondary_arrival.tolist(),
-    )
-
-
-@lru_cache(maxsize=64)
 def _success_by_width(channel: ChannelParams) -> tuple[float, ...]:
     """Secondary success probability indexed by aggregate width (index 0 unused)."""
     return (0.0,) + tuple(
@@ -424,8 +406,6 @@ def step(
 # Slots per block: about _BLOCK_ELEMENTS entries in each (bands, slots) array.
 _BLOCK_ELEMENTS = 1 << 16
 _MIN_BLOCK_SLOTS = 256
-# ORIGINAL-mode passes over one block before it falls back to _slot_core.
-_MAX_PASSES = 32
 # _lindley scans in int32 while max(q0) + 2 * slots stays below this.
 _NARROW_LIMIT = np.iinfo(np.int32).max
 
@@ -488,31 +468,16 @@ class _Block(NamedTuple):
         return self.occupancy & self.served
 
 
-class _BlockDraws(NamedTuple):
-    """A block's draws with what every pass over it shares."""
-
-    draws: SlotDraws
-    flip: np.ndarray  # sense_if_busy ^ sense_if_idle
-    blocked: np.ndarray  # pu_channel_ok & sense_if_busy
-
-
-def _block_draws(draws: SlotDraws) -> _BlockDraws:
-    return _BlockDraws(
-        draws,
-        draws.sense_if_busy ^ draws.sense_if_idle,
-        draws.pu_channel_ok & draws.sense_if_busy,
-    )
-
-
-def _block_pass(block_draws: _BlockDraws, qp0, qs0, willing, success_by_width) -> _Block:
+def _block_pass(
+    draws: SlotDraws, flip, blocked, qp0, qs0, willing, success_by_width
+) -> _Block:
     """Execute a block given whether the secondary transmits when it can.
 
-    willing holds, per slot, True (DOMINANT) or [q_s > 0 at slot start].  The
-    band sets are bitwise: a band is served unless the secondary both
-    misdetects it and transmits, and an occupied band is declared idle as
-    sense_if_busy says, an empty one as sense_if_idle says.
+    willing holds, per slot, 1 (DOMINANT) or [q_s > 0 at slot start]
+    (ORIGINAL).  The band sets are bitwise: a band is served unless the
+    secondary both misdetects it and transmits, and an occupied band is
+    declared idle as sense_if_busy says, an empty one as sense_if_idle says.
     """
-    draws, flip, blocked = block_draws
     served = draws.pu_channel_ok ^ (blocked & willing)
     qp, qp_end = _lindley(qp0, draws.primary_arrivals, served)
     occupancy = qp > 0
@@ -538,39 +503,29 @@ def _block_pass(block_draws: _BlockDraws, qp0, qs0, willing, success_by_width) -
     )
 
 
-def _scalar_willing(draws: SlotDraws, qp0, qs0, success_by_width) -> np.ndarray:
-    """[q_s > 0] at the start of each slot of an ORIGINAL block, via _slot_core."""
-    success_by_width = success_by_width.tolist()
-    qp = qp0.tolist()
-    qs = qs0
-    occupancy = sum(1 << band for band, q in enumerate(qp) if q > 0)
-    full = (1 << len(qp)) - 1
-    willing = np.empty(len(draws.su_uniform), dtype=bool)
-    for t, slot_draws in enumerate(zip(*_slot_columns(draws))):
-        willing[t] = qs > 0
-        qs, occupancy, *_ = _slot_core(
-            qp, qs, occupancy, full, slot_draws, False, success_by_width
-        )
-    return willing
+def _run_block(draws: SlotDraws, qp0, qs0, dominant: bool, success_by_width) -> _Block:
+    """Execute a block: iterate willing <- [q_s > 0] from all ones to its fixed point.
 
-
-def _original_block(draws: SlotDraws, qp0, qs0, success_by_width) -> _Block:
-    """Execute an ORIGINAL block: iterate willing <- [q_s > 0] to its fixed point.
-
-    Slot t of a pass depends only on willing before t, so every pass settles
-    at least one more slot and the fixed point is the causal run.  A block
-    that has not settled after _MAX_PASSES passes is run by _slot_core.
+    DOMINANT mode stops after the first pass.  Slot t of a pass depends only
+    on willing before t, so pass k settles the first k slots: an ORIGINAL
+    block of n slots reaches the fixed point within n + 1 passes, and the
+    fixed point is the causal run.
     """
-    block_draws = _block_draws(draws)
+    # shared by every pass: where occupancy flips the idle verdict, and the
+    # served links that a transmitting secondary blocks
+    flip = draws.sense_if_busy ^ draws.sense_if_idle
+    blocked = draws.pu_channel_ok & draws.sense_if_busy
+    # an array, not True: numpy broadcasts a bool array with a Python scalar
+    # about 20x slower than with another bool array
     willing = np.ones(len(draws.su_uniform), dtype=bool)
-    for _ in range(_MAX_PASSES):
-        block = _block_pass(block_draws, qp0, qs0, willing, success_by_width)
+    while True:
+        block = _block_pass(draws, flip, blocked, qp0, qs0, willing, success_by_width)
+        if dominant:
+            return block
         settled = block.qs > 0
         if np.array_equal(settled, willing):
             return block
         willing = settled
-    willing = _scalar_willing(draws, qp0, qs0, success_by_width)
-    return _block_pass(block_draws, qp0, qs0, willing, success_by_width)
 
 
 def _batch_counts(counts: np.ndarray, success: np.ndarray, first: int, batch: int) -> None:
@@ -716,13 +671,7 @@ def run(cfg: SimConfig, trace_path: str | Path | None = None) -> SimReport:
     try:
         for first in range(0, cfg.slots, block_slots):
             draws = streams.draw_block(min(block_slots, cfg.slots - first))
-            if dominant:
-                # an array, not True: numpy broadcasts a bool array with a Python
-                # scalar about 20x slower than with another bool array
-                willing = np.ones(len(draws.su_uniform), dtype=bool)
-                block = _block_pass(_block_draws(draws), qp, qs, willing, success_by_width)
-            else:
-                block = _original_block(draws, qp, qs, success_by_width)
+            block = _run_block(draws, qp, qs, dominant, success_by_width)
             arrivals_s_total += int(np.count_nonzero(draws.secondary_arrival))
             departures_s_total += int(np.count_nonzero(block.su_departure))
             lo = max(warmup - first, 0)
@@ -798,49 +747,3 @@ def run(cfg: SimConfig, trace_path: str | Path | None = None) -> SimReport:
         departures_s=departures_s_total,
         final_queue_s=qs,
     )
-
-
-@dataclass(frozen=True)
-class BoundaryRun:
-    """One coupled-seed pair of runs near the stability boundary."""
-
-    seed: int
-    verdict_dominant: Verdict
-    verdict_original: Verdict
-    throughput_gap: float
-
-
-@dataclass(frozen=True)
-class BoundaryCheck:
-    """Coupled-seed comparison of both modes against the analytical boundary.
-
-    throughput_gap in each run is |throughput_s(ORIGINAL) - min(lambda_s, mu_s)|:
-    below the boundary the original system should deliver its arrivals, above
-    it the saturated service rate.
-    """
-
-    lambda_s: float
-    mu_s: float
-    runs: list[BoundaryRun]
-
-
-def boundary_check(
-    scenario: ScenarioConfig, slots: int, seeds: Sequence[int]
-) -> BoundaryCheck:
-    """Run both modes with coupled seeds and compare against the boundary."""
-    result = analyze(scenario.channel, scenario.sensing, scenario.traffic)
-    lambda_s = scenario.traffic.lambda_s
-    expected = min(lambda_s, result.mu_s)
-    runs = []
-    for seed in seeds:
-        dom = run(SimConfig(scenario=scenario, mode=Mode.DOMINANT, slots=slots, seed=seed))
-        orig = run(SimConfig(scenario=scenario, mode=Mode.ORIGINAL, slots=slots, seed=seed))
-        runs.append(
-            BoundaryRun(
-                seed=seed,
-                verdict_dominant=dom.stability_verdict_s,
-                verdict_original=orig.stability_verdict_s,
-                throughput_gap=abs(orig.throughput_s - expected),
-            )
-        )
-    return BoundaryCheck(lambda_s=lambda_s, mu_s=result.mu_s, runs=runs)
