@@ -243,6 +243,16 @@ def test_both_modes_bracket_the_analytical_boundary():
         assert original.stability_verdict_s is Verdict.UNSTABLE
 
 
+def test_boundary_check_zero_arrivals_means_zero_throughput():
+    # the boundary comparison at lambda_s = 0 with busy primaries: neither
+    # mode delivers anything, so the gap |throughput - min(0, mu_s)| is exactly 0
+    sc = reference_scenario(lambda_s=0.0)
+    for mode in Mode:
+        report = run(SimConfig(scenario=sc, mode=mode, slots=20_000, seed=5))
+        assert report.arrivals_s == report.departures_s == 0
+        assert report.throughput_s == 0.0
+
+
 def test_trace_file_schema_and_determinism(tmp_path):
     sc = small_scenario()
     cfg = SimConfig(scenario=sc, mode=Mode.DOMINANT, slots=500, seed=41)
