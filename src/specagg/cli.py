@@ -2,9 +2,9 @@
 
 Outputs are CSV (one header row, LF line endings, floats printed with
 shortest round-trip formatting) or strict JSON, where a float that is not
-finite (such as std_err_mu_s of a run with fewer than 100 transmission
-opportunities) is null.  Exit codes: 0 success, 1 usage or configuration
-error, 2 runtime error.
+finite (such as std_err_mu_s of a run with fewer than 100 measured slots
+or no transmission opportunity) is null.  Exit codes: 0 success, 1 usage
+or configuration error, 2 runtime error.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -119,12 +119,10 @@ class SimConfig:
             raise ValueError(
                 f"warmup: must be in [0, slots={self.slots}), got {self.warmup}"
             )
-
-    @cached_property
-    def _success_table(self) -> tuple[float, ...]:
-        """_success_by_width of the scenario, built once per config: step()
-        needs it every slot, and building it calls su_success_prob m times."""
-        return _success_by_width(self.scenario.channel)
+        # step() reads it every slot and run() once; building it calls
+        # su_success_prob m times, so it is built once, when the config is
+        # made, and every run of the config then does the same work
+        object.__setattr__(self, "_success_table", _success_by_width(self.scenario.channel))
 
 
 @dataclass
@@ -455,7 +453,8 @@ class _Block(NamedTuple):
     occupancy: np.ndarray
     declared: np.ndarray
     served: np.ndarray  # primary link up and not hit by the secondary
-    su_transmitted: np.ndarray  # (slots,)
+    willing: np.ndarray  # (slots,) transmits when it can: 1 or [q_s > 0]
+    su_transmitted: np.ndarray
     collision: np.ndarray
     su_success: np.ndarray
     su_departure: np.ndarray
@@ -493,6 +492,7 @@ def _block_pass(
         occupancy=occupancy,
         declared=declared,
         served=served,
+        willing=willing,
         su_transmitted=su_tx,
         collision=collision,
         su_success=success,
@@ -528,18 +528,20 @@ def _run_block(draws: SlotDraws, qp0, qs0, dominant: bool, success_by_width) -> 
         willing = settled
 
 
-def _batch_counts(counts: np.ndarray, success: np.ndarray, first: int, batch: int) -> None:
-    """Add successes, the first at opportunity index first, to their batches."""
-    index = (np.flatnonzero(success) + first) // batch
-    counts += np.bincount(index[index < BATCH_COUNT], minlength=BATCH_COUNT)
+def _ratio_stderr(successes: np.ndarray, opportunities: np.ndarray) -> float:
+    """Batch-means standard error of r = sum(S) / sum(O) over K windows.
 
-
-def _batch_means_stderr(counts: np.ndarray, batch: int) -> float:
-    """Standard error of a rate estimate via batch means over BATCH_COUNT batches."""
-    if batch < 1:
+    The ratio estimator sqrt(sum_k (S_k - r O_k)^2 / (K (K - 1))) / mean(O),
+    in the form that equals means.std(ddof=1) / sqrt(K) to the bit when every
+    O_k is equal.  NaN when no window holds an opportunity.
+    """
+    mean_opportunities = opportunities.mean()
+    if mean_opportunities == 0:
         return math.nan
-    means = counts / batch
-    return float(means.std(ddof=1) / math.sqrt(BATCH_COUNT))
+    k = len(successes)
+    means = successes / mean_opportunities
+    d = means - means.mean() * (opportunities / mean_opportunities)
+    return float(np.sqrt((d * d).sum() / (k - 1)) / math.sqrt(k))
 
 
 def _drift_slope(n: int, sum_y: int, sum_iy: int) -> float:
@@ -640,14 +642,16 @@ def run(cfg: SimConfig, trace_path: str | Path | None = None) -> SimReport:
 
     Identical (cfg, seed) pairs produce identical reports.  When trace_path
     is given, every slot is appended to it as one JSON object per line.
-    Memory does not grow with the horizon, except one bit per transmission
-    opportunity in ORIGINAL mode.
+    Memory does not grow with the horizon.  empirical_mu_s counts successes
+    per transmission opportunity: every slot in DOMINANT mode, every slot
+    that starts with q_s > 0 in ORIGINAL mode.  std_err_mu_s is its
+    batch-means standard error over BATCH_COUNT windows of measured slots,
+    NaN with fewer than BATCH_COUNT measured slots or no opportunity.
     """
     scenario = cfg.scenario
     m = scenario.channel.m_bands
-    success_by_width = np.asarray(_success_by_width(scenario.channel))
+    success_by_width = np.asarray(cfg._success_table)
     streams = ProtocolStreams(scenario, cfg.seed)
-    dominant = cfg.mode is Mode.DOMINANT
     warmup = cfg.warmup
     measured = cfg.slots - warmup
     block_slots = _block_slots(m)
@@ -659,19 +663,17 @@ def run(cfg: SimConfig, trace_path: str | Path | None = None) -> SimReport:
     sum_qp = sum_qs = sum_iqs = 0
     collisions = su_departures = 0
     arrivals_s_total = departures_s_total = 0
-    # successes on transmission opportunities in the window: every measured
-    # slot in DOMINANT mode, so batches are counted as they go; in ORIGINAL
-    # mode the opportunity count is known only at the end, so keep the bits
     n_opportunities = n_successes = 0
+    # successes (row 0) and opportunities (row 1) in each window of batch
+    # measured slots; the measured slots after the last window are not batched
     batch = measured // BATCH_COUNT
-    batch_counts = np.zeros(BATCH_COUNT, dtype=np.int64)
-    packed_successes: list[tuple[np.ndarray, int]] = []
+    windows = np.zeros((2, BATCH_COUNT), dtype=np.int64)
 
     trace_file = open(trace_path, "wb") if trace_path is not None else None
     try:
         for first in range(0, cfg.slots, block_slots):
             draws = streams.draw_block(min(block_slots, cfg.slots - first))
-            block = _run_block(draws, qp, qs, dominant, success_by_width)
+            block = _run_block(draws, qp, qs, cfg.mode is Mode.DOMINANT, success_by_width)
             arrivals_s_total += int(np.count_nonzero(draws.secondary_arrival))
             departures_s_total += int(np.count_nonzero(block.su_departure))
             lo = max(warmup - first, 0)
@@ -680,7 +682,8 @@ def run(cfg: SimConfig, trace_path: str | Path | None = None) -> SimReport:
                 window_qs = block.qs[lo:]
                 block_sum_qs = int(window_qs.sum(dtype=np.int64))
                 sum_qp += int(block.qp[:, lo:].sum(dtype=np.int64))
-                sum_iqs += (first + lo - warmup) * block_sum_qs + int(
+                start = first + lo - warmup  # the measured slots before the block's
+                sum_iqs += start * block_sum_qs + int(
                     np.arange(len(window_qs), dtype=np.int64) @ window_qs
                 )
                 sum_qs += block_sum_qs
@@ -690,29 +693,22 @@ def run(cfg: SimConfig, trace_path: str | Path | None = None) -> SimReport:
                 departures += block.pu_departures[:, lo:].view(np.uint8).sum(1, dtype=count)
                 collisions += int(np.count_nonzero(block.collision[lo:]))
                 su_departures += int(np.count_nonzero(block.su_departure[lo:]))
-                success = block.su_success[lo:]
-                if not dominant:
-                    success = success[window_qs > 0]
-                    packed_successes.append((np.packbits(success), len(success)))
-                elif batch:
-                    _batch_counts(batch_counts, success, n_opportunities, batch)
-                n_opportunities += len(success)
+                success, willing = block.su_success[lo:], block.willing[lo:]
+                n_opportunities += int(np.count_nonzero(willing))
                 n_successes += int(np.count_nonzero(success))
+                stop = min(start + len(success), BATCH_COUNT * batch) - start
+                if stop > 0:
+                    # where each window this block reaches begins within it
+                    edges = np.maximum(np.arange(-(start % batch), stop, batch), 0)
+                    k = slice(start // batch, start // batch + len(edges))
+                    for row, bits in enumerate((success, willing)):
+                        windows[row, k] += np.add.reduceat(bits[:stop], edges, dtype=np.int64)
             if trace_file is not None:
                 trace_file.write(_trace_lines(first, block, draws))
             qp, qs = block.qp_end, block.qs_end
     finally:
         if trace_file is not None:
             trace_file.close()
-
-    if not dominant:
-        batch = n_opportunities // BATCH_COUNT
-        if batch:
-            first = 0
-            for bits, count in packed_successes:
-                success = np.unpackbits(bits, count=count).view(bool)
-                _batch_counts(batch_counts, success, first, batch)
-                first += count
 
     nonempty_list, departures_list = nonempty.tolist(), departures.tolist()
     ratios = [d / n for d, n in zip(departures_list, nonempty_list) if n > 0]
@@ -742,7 +738,7 @@ def run(cfg: SimConfig, trace_path: str | Path | None = None) -> SimReport:
         mean_queue_s=sum_qs / measured,
         stability_verdict_s=verdict,
         collisions=collisions,
-        std_err_mu_s=_batch_means_stderr(batch_counts, batch),
+        std_err_mu_s=_ratio_stderr(*windows),
         arrivals_s=arrivals_s_total,
         departures_s=departures_s_total,
         final_queue_s=qs,

@@ -389,7 +389,7 @@ def _reject_constant(name):
 
 
 def test_simulate_json_is_strict_when_std_err_is_undefined(capsys):
-    # 50 slots give fewer than 100 transmission opportunities: no batch means
+    # 50 slots give fewer than 100 measured slots: no batch means
     argv = ["simulate", "--config", str(REFERENCE_CONFIG), "--mode", "original",
             "--slots", "50", "--format", "json"]  # fmt: skip
     assert main(argv) == 0

@@ -1,11 +1,13 @@
 import json
 import math
 import tracemalloc
+import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from specagg import (
@@ -358,12 +360,62 @@ def test_primary_arrival_stream_is_independent_of_secondary_load():
         assert da[:5] == db[:5]  # same sensing, channel, primary arrivals
 
 
-def test_batch_means_stderr_shrinks_with_horizon():
-    sc = small_scenario(lambda_s=0.0)
-    short = run(SimConfig(scenario=sc, mode=Mode.DOMINANT, slots=20_000, seed=53))
-    long = run(SimConfig(scenario=sc, mode=Mode.DOMINANT, slots=320_000, seed=53))
+# ORIGINAL needs secondary arrivals to have any transmission opportunity
+@pytest.mark.parametrize("mode, lambda_s", [(Mode.DOMINANT, 0.0), (Mode.ORIGINAL, 0.2)])
+def test_batch_means_stderr_shrinks_with_horizon(mode, lambda_s):
+    sc = small_scenario(lambda_s=lambda_s)
+    short = run(SimConfig(scenario=sc, mode=mode, slots=20_000, seed=53))
+    long = run(SimConfig(scenario=sc, mode=mode, slots=320_000, seed=53))
     assert 0 < long.std_err_mu_s < short.std_err_mu_s
     assert not math.isnan(short.std_err_mu_s)
+
+
+@pytest.mark.parametrize("lambda_s", [0.3, 0.45])
+def test_original_stderr_tracks_the_spread_across_seeds(lambda_s):
+    # the standard error of one run estimates the s.d. of empirical_mu_s
+    # over independent runs
+    sc = reference_scenario(lambda_s=lambda_s)
+    reports = [
+        run(SimConfig(scenario=sc, mode=Mode.ORIGINAL, slots=60_000, seed=seed))
+        for seed in range(16)
+    ]
+    spread = np.std([r.empirical_mu_s for r in reports], ddof=1)
+    ratio = np.mean([r.std_err_mu_s for r in reports]) / spread
+    assert 0.5 <= ratio <= 2.0, ratio
+
+
+@PROPERTY
+@given(st.integers(1, 10**7), st.integers(0, 2**32))
+def test_ratio_stderr_of_equal_windows_is_the_batch_means_stderr(window, seed):
+    successes = np.random.default_rng(seed).integers(0, window, 100, endpoint=True)
+    assert simulate.BATCH_COUNT == 100
+    got = simulate._ratio_stderr(successes, np.full(100, window))
+    assert got == float((successes / window).std(ddof=1) / math.sqrt(100))
+
+
+@PROPERTY
+@given(st.integers(1, 10**6), st.sampled_from([0.0, 0.5, 0.99]), st.integers(0, 2**32))
+def test_ratio_stderr_is_the_textbook_ratio_estimator(most, share_empty, seed):
+    # windows of up to `most` opportunities, about share_empty of them with none
+    rng = np.random.default_rng(seed)
+    opportunities = rng.integers(0, most, 100, endpoint=True) * (rng.random(100) >= share_empty)
+    successes = rng.integers(0, opportunities, endpoint=True)
+    assume(opportunities.any())
+    # sqrt(sum (S_k - r O_k)^2 / (K (K - 1))) / O-bar, with r = sum S / sum O, exactly
+    k = 100
+    r = Fraction(int(successes.sum()), int(opportunities.sum()))
+    squares = sum((s - r * o) ** 2 for s, o in zip(successes.tolist(), opportunities.tolist()))
+    want = math.sqrt(squares / (k * (k - 1))) / float(Fraction(int(opportunities.sum()), k))
+    got = simulate._ratio_stderr(successes, opportunities)
+    # the absolute floor covers rounding where the exact value is 0
+    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-13), (got, want)
+
+
+def test_ratio_stderr_without_opportunities_is_nan_without_warnings():
+    zeros = np.zeros(100, dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(simulate._ratio_stderr(zeros, zeros))
 
 
 def reference_run(cfg: SimConfig) -> SimReport:
@@ -372,6 +424,8 @@ def reference_run(cfg: SimConfig) -> SimReport:
     The statistics are computed as run() computed them before it worked on
     blocks of slots: a backlog trace and an opportunity array of the whole
     window, a float least-squares slope and batch means of a uint8 array.
+    ORIGINAL's standard error is the ratio estimator over BATCH_COUNT equal
+    windows of measured slots, from per-slot success and opportunity arrays.
     """
     m = cfg.scenario.channel.m_bands
     streams = ProtocolStreams(cfg.scenario, cfg.seed)
@@ -381,6 +435,8 @@ def reference_run(cfg: SimConfig) -> SimReport:
     state = QueueState(primary=[0] * m, secondary=0)
     qs_trace = np.zeros(measured, dtype=np.int64)
     opportunity_success = np.zeros(measured, dtype=np.uint8)
+    slot_success = np.zeros(measured, dtype=np.int64)
+    slot_opportunity = np.zeros(measured, dtype=np.int64)
     n_opportunities = 0
     nonempty = [0] * m
     departures = [0] * m
@@ -397,6 +453,8 @@ def reference_run(cfg: SimConfig) -> SimReport:
         sum_qp += qp_start
         collisions += out.collision
         su_departures += out.su_departure
+        slot_success[t - warmup] = out.su_success
+        slot_opportunity[t - warmup] = qs_start > 0
         if dominant or qs_start > 0:
             opportunity_success[n_opportunities] = out.su_success
             n_opportunities += 1
@@ -414,11 +472,22 @@ def reference_run(cfg: SimConfig) -> SimReport:
             verdict = Verdict.UNSTABLE
         elif slope < cfg.stable_slope:
             verdict = Verdict.STABLE
-    batch = n_opportunities // simulate.BATCH_COUNT
+    k = simulate.BATCH_COUNT
     std_err = math.nan
-    if batch >= 1:
-        means = successes[: batch * simulate.BATCH_COUNT].reshape(-1, batch).mean(axis=1)
-        std_err = float(means.std(ddof=1) / math.sqrt(simulate.BATCH_COUNT))
+    if dominant:
+        batch = n_opportunities // k
+        if batch >= 1:
+            means = successes[: batch * k].reshape(-1, batch).mean(axis=1)
+            std_err = float(means.std(ddof=1) / math.sqrt(k))
+    else:
+        window = measured // k
+        s = slot_success[: window * k].reshape(k, window).sum(axis=1)
+        o = slot_opportunity[: window * k].reshape(k, window).sum(axis=1)
+        o_bar = o.mean()
+        if o_bar > 0:
+            means = s / o_bar
+            d = means - means.mean() * (o / o_bar)
+            std_err = float(np.sqrt((d * d).sum() / (k - 1)) / math.sqrt(k))
     return SimReport(
         mode=cfg.mode,
         slots=cfg.slots,
@@ -646,17 +715,19 @@ def test_draw_block_and_next_slot_share_one_layout():
         slots.draw_block(1)
 
 
-def test_run_memory_does_not_grow_with_the_horizon():
+@pytest.mark.parametrize("mode", list(Mode))
+def test_run_memory_does_not_grow_with_the_horizon(mode):
     sc = reference_scenario(lambda_s=0.3)
 
     def peak(slots):
         tracemalloc.start()
         try:
-            run(SimConfig(scenario=sc, mode=Mode.DOMINANT, slots=slots, seed=3))
+            run(SimConfig(scenario=sc, mode=mode, slots=slots, seed=3))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     short, long = peak(100_000), peak(1_000_000)
-    # the old run() held 9 B per measured slot: 8 MB more at the long horizon
-    assert long - short < 256 * 1024, (short, long)
+    # 9 B per measured slot would add 8 MB here, and one bit per ORIGINAL
+    # transmission opportunity 113 KB
+    assert long - short < 32 * 1024, (short, long)
