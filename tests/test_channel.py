@@ -3,14 +3,17 @@ import math
 import pytest
 
 from specagg import (
+    Mode,
     PowerMode,
+    SimConfig,
     pu_success_prob,
     sensing_fraction,
     su_effective_rate,
     su_success_prob,
+    su_success_table,
 )
 
-from conftest import make_channel
+from conftest import make_channel, reference_scenario
 
 
 def test_sensing_fraction_examples():
@@ -86,6 +89,7 @@ def test_su_effective_rate_infinite_when_sensing_eats_the_slot():
     assert su_effective_rate(ch, 1) == math.inf
     assert su_success_prob(ch, 1) == 0.0
     assert su_success_prob(ch, 40) == 0.0
+    assert su_success_table(ch) == (0.0,) * 41
 
 
 def test_su_effective_rate_finite_iff_sensing_below_slot():
@@ -162,3 +166,15 @@ def test_extreme_rate_underflows_to_zero_without_overflow():
     ch = make_channel(m_bands=10, k_antennas=1, tau_b_frac=0.0999, spectral_eff_r=5.0)
     # available time 1 - 0.999 leaves a required rate of 5000 per band
     assert su_success_prob(ch, 1) == 0.0
+
+
+@pytest.mark.parametrize("mode", list(PowerMode))
+@pytest.mark.parametrize("m", [1, 2, 13, 40])
+def test_su_success_table_is_s_of_every_width(m, mode):
+    scenario = reference_scenario(m_bands=m, power_mode=mode)
+    table = su_success_table(scenario.channel)
+    assert len(table) == m + 1
+    assert table[0] == 0.0
+    assert list(table[1:]) == [su_success_prob(scenario.channel, n) for n in range(1, m + 1)]
+    cfg = SimConfig(scenario=scenario, mode=Mode.ORIGINAL, slots=1, seed=0)
+    assert cfg._success_table == table

@@ -87,6 +87,20 @@ def test_analyze_writes_output_file(tiny_config, tmp_path, capsys):
     assert out.read_text() == ANALYZE_GOLDEN
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--out"], ["simulate", "--slots", "50", "--trace"]],
+    ids=["out", "trace"],
+)
+def test_unwritable_output_is_a_runtime_error(argv, tiny_config, tmp_path, capsys):
+    path = tmp_path / "missing" / "result.csv"
+    assert main(argv + [str(path), "--config", tiny_config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("specagg: ")
+    assert not path.exists()
+
+
 def test_analyze_rejects_sweep_config(tiny_sweep, capsys):
     assert main(["analyze", "--config", tiny_sweep]) == 1
     assert "expected a scenario config" in capsys.readouterr().err
