@@ -195,19 +195,20 @@ def stability_region(
     """Boundary of the arrival-rate region keeping every queue stable.
 
     For each primary arrival rate on the grid, the maximum stable
-    secondary arrival rate.  Grid values at or above the primary service
-    rate are reported as skipped points rather than failing the sweep.
+    secondary arrival rate.  Grid values that leave no idle band (the
+    empty probability is undefined or 0) are reported as skipped points
+    rather than failing the sweep.
     """
     mu_p = primary_service_rate(channel, sensing)
     points = []
     for lam_p in lambda_p_grid:
-        if lam_p >= mu_p:
-            points.append(BoundaryPoint(lam_p, None))
-            continue
         traffic = TrafficParams(lambda_p=lam_p, lambda_s=0.0)
-        points.append(
-            BoundaryPoint(lam_p, secondary_service_rate(channel, sensing, traffic))
-        )
+        try:
+            idle = empty_probability(mu_p, traffic) > 0.0
+        except UnstablePrimaryError:
+            idle = False
+        rate = secondary_service_rate(channel, sensing, traffic) if idle else None
+        points.append(BoundaryPoint(lam_p, rate))
     return points
 
 
@@ -250,6 +251,6 @@ def analyze(
         mu_p=mu_p,
         pi=pi,
         mu_s=mu_s,
-        primary_stable=traffic.lambda_p < mu_p,
+        primary_stable=pi > 0.0,
         secondary_stable=traffic.lambda_s < mu_s,
     )

@@ -5,6 +5,11 @@ shortest round-trip formatting) or strict JSON, where a float that is not
 finite (such as std_err_mu_s of a run with fewer than 100 measured slots
 or no transmission opportunity) is null.  Exit codes: 0 success, 1 usage
 or configuration error, 2 runtime error.
+
+Each cmd_* function returns (rows, record): rows are the CSV rows, one
+dict per row with its keys in column order (the header is the first
+row's keys), and record is the value the JSON form prints.  main alone
+reads --format and picks which of the two is written.
 """
 
 from __future__ import annotations
@@ -13,8 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
-from enum import Enum
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .analysis import (
@@ -51,14 +55,12 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, Enum):
-        return value.value
     return str(value)
 
 
-def _csv(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+def _csv(rows) -> str:
+    lines = [",".join(rows[0])]
+    lines.extend(",".join(_fmt(v) for v in row.values()) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -101,54 +103,29 @@ def _sim_config(**fields) -> SimConfig:
         raise _UsageError(str(exc)) from exc
 
 
-def cmd_analyze(args) -> str:
+def cmd_analyze(args) -> tuple[list[dict], object]:
     scenario = _load_scenario(args.config)
-    result = analyze(scenario.channel, scenario.sensing, scenario.traffic)
-    if args.format == "json":
-        return _json_text(
-            {
-                "label": scenario.label,
-                "mu_p": result.mu_p,
-                "pi": result.pi,
-                "mu_s": result.mu_s,
-                "primary_stable": result.primary_stable,
-                "secondary_stable": result.secondary_stable,
-            }
-        )
-    header = ["mu_p", "pi", "mu_s", "primary_stable", "secondary_stable"]
-    row = [
-        result.mu_p,
-        result.pi,
-        result.mu_s,
-        result.primary_stable,
-        result.secondary_stable,
-    ]
-    return _csv(header, [row])
+    row = asdict(analyze(scenario.channel, scenario.sensing, scenario.traffic))
+    return [row], {"label": scenario.label} | row
 
 
-def cmd_optimize(args) -> str:
+def cmd_optimize(args) -> tuple[list[dict], object]:
     scenario = _load_scenario(args.config)
     opt = optimize_sensed_bands(scenario.channel, scenario.sensing, scenario.traffic)
-    if args.format == "json":
-        # Unsensed primaries never see secondary interference, so they are
-        # served at the raw link rate; report both so consumers can tell.
-        p_bar = pu_success_prob(scenario.channel)
-        return _json_text(
-            {
-                "label": scenario.label,
-                "m_opt": opt.m_opt,
-                "mu_s_opt": opt.mu_s_opt,
-                "mu_p_sensed_bands": primary_service_rate(
-                    scenario.channel, scenario.sensing
-                ),
-                "mu_p_unsensed_bands": p_bar,
-                "profile": [[m, rate] for m, rate in opt.profile],
-            }
-        )
-    return _csv(["m", "mu_s"], opt.profile)
+    # Unsensed primaries never see secondary interference, so they are
+    # served at the raw link rate; report both so consumers can tell.
+    record = {
+        "label": scenario.label,
+        "m_opt": opt.m_opt,
+        "mu_s_opt": opt.mu_s_opt,
+        "mu_p_sensed_bands": primary_service_rate(scenario.channel, scenario.sensing),
+        "mu_p_unsensed_bands": pu_success_prob(scenario.channel),
+        "profile": [[m, rate] for m, rate in opt.profile],
+    }
+    return [{"m": m, "mu_s": rate} for m, rate in opt.profile], record
 
 
-def cmd_simulate(args) -> str:
+def cmd_simulate(args) -> tuple[list[dict], object]:
     scenario = _load_scenario(args.config)
     cfg = _sim_config(
         scenario=scenario,
@@ -163,17 +140,14 @@ def cmd_simulate(args) -> str:
         mu_p_analytical, mu_s_analytical = result.mu_p, result.mu_s
     except UnstablePrimaryError:
         mu_p_analytical = mu_s_analytical = None
-    data = report.to_dict()
-    data["mu_p_analytical"] = mu_p_analytical
-    data["mu_s_analytical"] = mu_s_analytical
-    if args.format == "json":
-        data["label"] = scenario.label
-        return _json_text(data)
-    header = list(data.keys())
-    return _csv(header, [[data[k] for k in header]])
+    row = report.to_dict() | {
+        "mu_p_analytical": mu_p_analytical,
+        "mu_s_analytical": mu_s_analytical,
+    }
+    return [row], row | {"label": scenario.label}
 
 
-def cmd_sweep(args) -> str:
+def cmd_sweep(args) -> tuple[list[dict], object]:
     spec = _load_sweep(args.config)
     slots = args.slots if args.slots is not None else spec.sim_slots
     seed = args.seed if args.seed is not None else spec.sim_seed
@@ -185,83 +159,55 @@ def cmd_sweep(args) -> str:
         slots=1 if slots is None else slots,
         seed=0 if seed is None else seed,
     )
-    header = [
-        "axis_value",
-        "status",
-        "mu_p",
-        "pi",
-        "mu_s_analytical",
-        "mu_s_simulated",
-        "std_err",
-        "m_opt",
-    ]
+    columns = ("mu_p", "pi", "mu_s_analytical", "mu_s_simulated", "std_err", "m_opt")
     rows = []
     for index, value in enumerate(spec.values):
         scenario = apply_axis(spec.base, spec.axis, value)
+        row = {"axis_value": value, "status": "skipped"} | dict.fromkeys(columns)
+        rows.append(row)
         try:
             result = analyze(scenario.channel, scenario.sensing, scenario.traffic)
         except UnstablePrimaryError:
-            rows.append([value, "skipped", None, None, None, None, None, None])
             continue
-        m_opt = None
+        row.update(status="ok", mu_p=result.mu_p, pi=result.pi, mu_s_analytical=result.mu_s)
         if spec.axis != "m_bands":
             try:
-                m_opt = optimize_sensed_bands(
+                row["m_opt"] = optimize_sensed_bands(
                     scenario.channel, scenario.sensing, scenario.traffic
                 ).m_opt
             except UnstablePrimaryError:
                 pass  # lambda_p == mu_p: analyze admits pi = 0, the optimizer does not
-        mu_s_simulated = std_err = None
         if spec.with_simulation:
             report = run(replace(sim, scenario=scenario, seed=sim.seed + index))
-            mu_s_simulated = report.empirical_mu_s
-            std_err = report.std_err_mu_s
-        rows.append(
-            [
-                value,
-                "ok",
-                result.mu_p,
-                result.pi,
-                result.mu_s,
-                mu_s_simulated,
-                std_err,
-                m_opt,
-            ]
-        )
-    if args.format == "json":
-        return _json_text(
-            [{k: v for k, v in zip(header, row)} for row in rows]
-        )
-    return _csv(header, rows)
+            row.update(mu_s_simulated=report.empirical_mu_s, std_err=report.std_err_mu_s)
+    return rows, rows
 
 
-def cmd_compare(args) -> str:
+def cmd_compare(args) -> tuple[list[dict], object]:
     spec = _load_sweep(args.config)
-    header = ["axis_value", "status", "mu_s_psd", "mu_s_limited", "mu_s_single_band"]
+    columns = ("mu_s_psd", "mu_s_limited", "mu_s_single_band")
     rows = []
     for value in spec.values:
         scenario = apply_axis(spec.base, spec.axis, value)
         psd = replace(scenario.channel, power_mode=PowerMode.PSD)
         limited = replace(scenario.channel, power_mode=PowerMode.LIMITED)
+        sensing, traffic = scenario.sensing, scenario.traffic
         try:
-            mu_psd = secondary_service_rate(psd, scenario.sensing, scenario.traffic)
-            mu_limited = secondary_service_rate(
-                limited, scenario.sensing, scenario.traffic
-            )
-            mu_single = single_band_service_rate(
-                psd, scenario.sensing, scenario.traffic
-            )
+            rates = [
+                secondary_service_rate(psd, sensing, traffic),
+                secondary_service_rate(limited, sensing, traffic),
+                single_band_service_rate(psd, sensing, traffic),
+            ]
+            status = "ok"
         except UnstablePrimaryError:
-            rows.append([value, "skipped", None, None, None])
-            continue
-        rows.append([value, "ok", mu_psd, mu_limited, mu_single])
-    if args.format == "json":
-        return _json_text([{k: v for k, v in zip(header, row)} for row in rows])
-    return _csv(header, rows)
+            rates, status = [None] * 3, "skipped"
+        rows.append({"axis_value": value, "status": status} | dict(zip(columns, rates)))
+    return rows, rows
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="specagg", description=__doc__)
+    # --help shows the docstring without its last paragraph, which is about the code
+    parser = _Parser(prog="specagg", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -305,7 +251,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        text = args.func(args)
+        rows, record = args.func(args)
+        text = _json_text(record) if args.format == "json" else _csv(rows)
         if args.out is not None:
             Path(args.out).write_text(text)
         else:
@@ -316,10 +263,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"specagg: usage error: {exc}", file=sys.stderr)
         return 1
-    except UnstablePrimaryError as exc:
-        print(f"specagg: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UnstablePrimaryError, ValueError, OSError) as exc:
         print(f"specagg: {exc}", file=sys.stderr)
         return 2
     return 0

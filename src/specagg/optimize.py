@@ -7,6 +7,7 @@ from dataclasses import dataclass, replace
 from .analysis import (
     TrafficParams,
     UnstablePrimaryError,
+    empty_probability,
     primary_service_rate,
     secondary_service_rate,
 )
@@ -42,7 +43,7 @@ def optimize_sensed_bands(
     same throughput for less sensing.
     """
     mu_p = primary_service_rate(channel, sensing)
-    if traffic.lambda_p >= mu_p:
+    if empty_probability(mu_p, traffic) == 0.0:  # raises when lambda_p > mu_p
         raise UnstablePrimaryError(
             f"lambda_p = {traffic.lambda_p} leaves no idle bands "
             f"(mu_p = {mu_p}); nothing to optimize"

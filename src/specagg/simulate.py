@@ -183,6 +183,11 @@ class SimReport:
 _BAND_WEIGHTS = np.array([1 << band for band in range(64)], dtype=np.uint64)
 
 
+def _band_words(bits: np.ndarray) -> np.ndarray:
+    """Sum a (bands <= 64, slots) boolean matrix into one uint64 word per slot."""
+    return (bits * _BAND_WEIGHTS[: len(bits), None]).sum(axis=0)
+
+
 def _pack_slot_masks(bits: np.ndarray) -> list[int]:
     """Fold a (bands, slots) boolean matrix into one bitmask int per slot.
 
@@ -191,8 +196,7 @@ def _pack_slot_masks(bits: np.ndarray) -> list[int]:
     """
     masks: list[int] | None = None
     for lo in range(0, bits.shape[0], 64):
-        chunk = bits[lo : lo + 64]
-        words = (chunk * _BAND_WEIGHTS[: len(chunk), None]).sum(axis=0).tolist()
+        words = _band_words(bits[lo : lo + 64]).tolist()
         if masks is None:
             masks = words
         else:
@@ -569,7 +573,7 @@ def _mask_text(bits: np.ndarray) -> np.ndarray:
     """
     m = bits.shape[0]
     if m <= 64:
-        return _decimal_text(_BAND_WEIGHTS[:m] @ bits, (1 << m) - 1)
+        return _decimal_text(_band_words(bits), (1 << m) - 1)
     text = np.array([str(mask) for mask in _pack_slot_masks(bits)], dtype=bytes)
     return text.view(np.uint8).reshape(len(text), -1)
 

@@ -220,3 +220,22 @@ def test_analyze_raises_on_unstable_primary():
     overloaded = TrafficParams(lambda_p=0.9, lambda_s=0.0)
     with pytest.raises(UnstablePrimaryError):
         analyze(sc.channel, sc.sensing, overloaded)
+
+
+def test_no_primary_traffic_is_stable_even_when_mu_p_is_zero():
+    # p_md = 1 makes mu_p = 0; with lambda_p = 0 every band is idle (pi = 1)
+    sc = reference_scenario(m_bands=4)
+    sensing = SensingParams(p_fa=0.05, p_md=1.0)
+    result = analyze(sc.channel, sensing, TrafficParams(0.0, 0.0))
+    assert result.mu_p == 0.0 and result.pi == 1.0
+    assert result.primary_stable
+    assert result.mu_s > 0.0
+
+
+def test_stability_region_keeps_lambda_p_zero_when_mu_p_is_zero():
+    sc = reference_scenario(m_bands=4)
+    sensing = SensingParams(p_fa=0.05, p_md=1.0)
+    free, busy = stability_region(sc.channel, sensing, [0.0, 0.1])
+    expected = secondary_service_rate(sc.channel, sensing, TrafficParams(0.0, 0.0))
+    assert free.lambda_s_max == expected > 0.0
+    assert busy.skipped

@@ -38,6 +38,101 @@ COMPARE_GOLDEN = (
     "0.7,skipped,,,\n"
 )
 
+ANALYZE_JSON_GOLDEN = """\
+{
+  "label": null,
+  "mu_p": 0.6400000000000001,
+  "pi": 0.5000000000000001,
+  "mu_s": 0.35771299967146414,
+  "primary_stable": true,
+  "secondary_stable": true
+}
+"""
+
+OPTIMIZE_JSON_GOLDEN = """\
+{
+  "label": null,
+  "m_opt": 2,
+  "mu_s_opt": 0.35771299967146414,
+  "mu_p_sensed_bands": 0.6400000000000001,
+  "mu_p_unsensed_bands": 0.8,
+  "profile": [
+    [
+      1,
+      0.2519392139353009
+    ],
+    [
+      2,
+      0.35771299967146414
+    ]
+  ]
+}
+"""
+
+SWEEP_JSON_GOLDEN = """\
+[
+  {
+    "axis_value": 0.0,
+    "status": "ok",
+    "mu_p": 0.6400000000000001,
+    "pi": 1.0,
+    "mu_s_analytical": 0.7080095554555206,
+    "mu_s_simulated": null,
+    "std_err": null,
+    "m_opt": 2
+  },
+  {
+    "axis_value": 0.32,
+    "status": "ok",
+    "mu_p": 0.6400000000000001,
+    "pi": 0.5000000000000001,
+    "mu_s_analytical": 0.35771299967146414,
+    "mu_s_simulated": null,
+    "std_err": null,
+    "m_opt": 2
+  },
+  {
+    "axis_value": 0.7,
+    "status": "skipped",
+    "mu_p": null,
+    "pi": null,
+    "mu_s_analytical": null,
+    "mu_s_simulated": null,
+    "std_err": null,
+    "m_opt": null
+  }
+]
+"""
+
+COMPARE_JSON_GOLDEN = """\
+[
+  {
+    "axis_value": 0.0,
+    "status": "ok",
+    "mu_s_psd": 0.7080095554555206,
+    "mu_s_limited": 0.5613389752889318,
+    "mu_s_single_band": 0.4969541797208559
+  },
+  {
+    "axis_value": 0.32,
+    "status": "ok",
+    "mu_s_psd": 0.35771299967146414,
+    "mu_s_limited": 0.3210453546298169,
+    "mu_s_single_band": 0.304949155737798
+  },
+  {
+    "axis_value": 0.7,
+    "status": "skipped",
+    "mu_s_psd": null,
+    "mu_s_limited": null,
+    "mu_s_single_band": null
+  }
+]
+"""
+
+# sha256 of `simulate --slots 2000 --format json` at TINY (seed 1)
+SIMULATE_JSON_SHA256 = "baeaa95f67bb2bd673d7ebfde5ea7cbfb22701e09976a2204d192f131dc3e8e4"
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -70,6 +165,29 @@ def test_analyze_json(tiny_config, capsys):
     assert data["mu_p"] == 0.6400000000000001
     assert data["primary_stable"] is True
     assert data["label"] is None
+
+
+@pytest.mark.parametrize(
+    "command, config, golden",
+    [
+        ("analyze", "tiny_config", ANALYZE_JSON_GOLDEN),
+        ("optimize", "tiny_config", OPTIMIZE_JSON_GOLDEN),
+        ("sweep", "tiny_sweep", SWEEP_JSON_GOLDEN),
+        ("compare", "tiny_sweep", COMPARE_JSON_GOLDEN),
+    ],
+    ids=["analyze", "optimize", "sweep", "compare"],
+)
+def test_json_golden(command, config, golden, request, capsys):
+    path = request.getfixturevalue(config)
+    assert main([command, "--config", path, "--format", "json"]) == 0
+    assert capsys.readouterr().out == golden
+
+
+def test_simulate_json_bytes_are_pinned(tiny_config, capsys):
+    argv = ["simulate", "--config", tiny_config, "--slots", "2000", "--format", "json"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_JSON_SHA256
 
 
 def test_csv_floats_round_trip(tiny_config, capsys):
@@ -140,6 +258,33 @@ def test_optimize_json_reports_both_primary_rates(tiny_config, capsys):
     assert data["mu_p_sensed_bands"] == pytest.approx(0.64)
     assert data["mu_p_unsensed_bands"] == pytest.approx(0.8)
     assert len(data["profile"]) == 2
+
+
+def test_no_primary_traffic_is_analyzed_and_optimized_when_mu_p_is_zero(tmp_path, capsys):
+    # p_md = 1 makes mu_p = 0; lambda_p = 0 still leaves every band idle
+    config = write_config(tmp_path, {**TINY, "p_md": 1.0, "lambda_p": 0.0})
+    assert main(["analyze", "--config", config, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["mu_p"] == 0.0 and data["pi"] == 1.0 and data["primary_stable"] is True
+    assert main(["optimize", "--config", config, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["mu_s_opt"] == max(rate for _, rate in data["profile"]) > 0.0
+
+
+def test_optimize_overloaded_primary_message(tmp_path, capsys):
+    config = write_config(tmp_path, {**TINY, "lambda_p": 0.7})
+    assert main(["optimize", "--config", config]) == 2
+    assert capsys.readouterr().err == "specagg: lambda_p = 0.7 exceeds mu_p = 0.6400000000000001\n"
+
+
+def test_sweep_keeps_lambda_p_zero_when_mu_p_is_zero(tmp_path, capsys):
+    config = write_config(
+        tmp_path, {**TINY, "p_md": 1.0, "axis": "lambda_p", "values": [0.0, 0.1]}
+    )
+    assert main(["sweep", "--config", config, "--format", "json"]) == 0
+    free, busy = json.loads(capsys.readouterr().out)
+    assert free["status"] == "ok" and free["pi"] == 1.0 and free["m_opt"] == 2
+    assert busy["status"] == "skipped"
 
 
 def test_sweep_golden_csv(tiny_sweep, capsys):
@@ -410,3 +555,32 @@ def test_simulate_json_is_strict_when_std_err_is_undefined(capsys):
     data = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert data["std_err_mu_s"] is None
     assert isinstance(data["mu_s_analytical"], float)
+
+
+CONFIGS = sorted(REFERENCE_CONFIG.parent.glob("*.json"))
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+def test_shipped_config_runs_through_every_command(config, capsys):
+    is_sweep = "axis" in json.loads(config.read_text())
+    for command in ("analyze", "optimize", "simulate", "sweep", "compare"):
+        wants_sweep = command in ("sweep", "compare")
+        expected = 0 if wants_sweep == is_sweep else 1  # 1: scenario/sweep mismatch
+        slots = ["--slots", "2000"] if command in ("simulate", "sweep") else []
+        out = {}
+        for fmt in ("csv", "json"):
+            argv = [command, "--config", str(config), "--format", fmt, *slots]
+            assert main(argv) == expected, argv
+            out[fmt] = capsys.readouterr().out
+        if expected:
+            continue
+        header, *rows = [line.split(",") for line in out["csv"].splitlines()]
+        record = json.loads(out["json"])
+        if command == "optimize":
+            assert header == ["m", "mu_s"]
+            assert [[str(m), repr(rate)] for m, rate in record["profile"]] == rows
+        elif wants_sweep:
+            assert len(record) == len(rows)
+            assert all(list(row) == header for row in record)
+        else:
+            assert [key for key in record if key != "label"] == header

@@ -71,3 +71,13 @@ def test_unstable_primary_is_rejected():
         optimize_sensed_bands(
             sc.channel, sc.sensing, TrafficParams(lambda_p=0.855, lambda_s=0.0)
         )
+
+
+def test_no_primary_traffic_is_optimized_even_when_mu_p_is_zero():
+    # p_md = 1 makes mu_p = 0, yet lambda_p = 0 leaves every band idle
+    sc = reference_scenario(m_bands=4)
+    sensing = SensingParams(p_fa=0.05, p_md=1.0)
+    result = optimize_sensed_bands(sc.channel, sensing, TrafficParams(0.0, 0.0))
+    assert len(result.profile) == 4
+    assert result.mu_s_opt == max(rate for _, rate in result.profile) > 0.0
+
