@@ -10,8 +10,13 @@ detected, c = (1 - pi)(1 - p_md); busy and missed, (1 - pi) p_md.  A slot
 serves the secondary only when no band is busy and missed, so both closed
 forms reduce to binomial sums in a, b = pi p_fa + c and c.  mu_s costs
 O(m) and the single-band baseline O(1); both stay finite for m_bands in
-the thousands, and the sensed-band optimizer, which evaluates mu_s at
-m = 1..M, costs O(M**2).
+the thousands.  mu_s is one private sum over a prebuilt s(n) table and
+log-factorial list, and the two sweeps share those between points:
+stability_region builds them once per call, so a grid of G values costs
+m entries of s(n) and G sums of O(m).  The sensed-band optimizer
+evaluates mu_s at m = 1..M in O(M**2) sums, but computes pi, log a and
+log b once and builds one s(n) table per sensing-pass count, about
+M**2 / (2 k_antennas) entries in all instead of M**2 / 2.
 """
 
 from __future__ import annotations
@@ -120,6 +125,36 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
+def _log_a_b(
+    channel: ChannelParams, sensing: SensingParams, traffic: TrafficParams
+) -> tuple[float, float]:
+    """log a and log b of the module docstring; neither depends on m_bands."""
+    pi, c = _idle_and_detected(channel, sensing, traffic)
+    return _log(pi * (1.0 - sensing.p_fa)), _log(pi * sensing.p_fa + c)
+
+
+def _log_factorials(m: int) -> list[float]:
+    """log k! for k = 0..m."""
+    return [math.lgamma(k + 1) for k in range(m + 1)]
+
+
+def _binomial_sum(
+    m: int, log_a: float, log_b: float, success, log_factorials: list[float]
+) -> float:
+    """sum_{n=1..m} C(m, n) a**n b**(m-n) success[n], with weights in log space.
+
+    success and log_factorials may run past m; only entries 0..m are read.
+    """
+    total = 0.0
+    for n in range(1, m + 1):
+        log_weight = log_factorials[m] - log_factorials[n] - log_factorials[m - n]
+        log_weight += n * log_a
+        if n < m:
+            log_weight += (m - n) * log_b
+        total += math.exp(log_weight) * success[n]
+    return total
+
+
 def secondary_service_rate(
     channel: ChannelParams, sensing: SensingParams, traffic: TrafficParams
 ) -> float:
@@ -134,19 +169,8 @@ def secondary_service_rate(
     their exact value 0 (or 1 for a zero power).
     """
     m = channel.m_bands
-    pi, c = _idle_and_detected(channel, sensing, traffic)
-    log_a = _log(pi * (1.0 - sensing.p_fa))
-    log_b = _log(pi * sensing.p_fa + c)
-    log_m_factorial = math.lgamma(m + 1)
-    success = su_success_table(channel)
-    total = 0.0
-    for n in range(1, m + 1):
-        log_weight = log_m_factorial - math.lgamma(n + 1) - math.lgamma(m - n + 1)
-        log_weight += n * log_a
-        if n < m:
-            log_weight += (m - n) * log_b
-        total += math.exp(log_weight) * success[n]
-    return total
+    log_a, log_b = _log_a_b(channel, sensing, traffic)
+    return _binomial_sum(m, log_a, log_b, su_success_table(channel), _log_factorials(m))
 
 
 def secondary_service_rate_oracle(
@@ -197,9 +221,12 @@ def stability_region(
     For each primary arrival rate on the grid, the maximum stable
     secondary arrival rate.  Grid values that leave no idle band (the
     empty probability is undefined or 0) are reported as skipped points
-    rather than failing the sweep.
+    rather than failing the sweep.  s(n) and the log-factorials are built
+    once per call and shared by every grid value.
     """
     mu_p = primary_service_rate(channel, sensing)
+    m = channel.m_bands
+    success, log_factorials = su_success_table(channel), _log_factorials(m)
     points = []
     for lam_p in lambda_p_grid:
         traffic = TrafficParams(lambda_p=lam_p, lambda_s=0.0)
@@ -207,7 +234,9 @@ def stability_region(
             idle = empty_probability(mu_p, traffic) > 0.0
         except UnstablePrimaryError:
             idle = False
-        rate = secondary_service_rate(channel, sensing, traffic) if idle else None
+        rate = None
+        if idle:
+            rate = _binomial_sum(m, *_log_a_b(channel, sensing, traffic), success, log_factorials)
         points.append(BoundaryPoint(lam_p, rate))
     return points
 

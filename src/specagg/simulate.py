@@ -614,11 +614,14 @@ def run(cfg: SimConfig, trace_path: str | Path | None = None) -> SimReport:
 
     Identical (cfg, seed) pairs produce identical reports.  When trace_path
     is given, every slot is appended to it as one JSON object per line.
-    Memory does not grow with the horizon.  empirical_mu_s counts successes
+    Memory does not grow with the horizon.  empirical_mu_p averages
+    departures per nonempty measured slot over the bands that have one; it
+    is NaN when no band is ever nonempty.  empirical_mu_s counts successes
     per transmission opportunity: every slot in DOMINANT mode, every slot
-    that starts with q_s > 0 in ORIGINAL mode.  std_err_mu_s is its
-    batch-means standard error over BATCH_COUNT windows of measured slots,
-    NaN with fewer than BATCH_COUNT measured slots or no opportunity.
+    that starts with q_s > 0 in ORIGINAL mode; it is NaN with no
+    opportunity.  std_err_mu_s is its batch-means standard error over
+    BATCH_COUNT windows of measured slots, NaN with fewer than BATCH_COUNT
+    measured slots or no opportunity.
     """
     scenario = cfg.scenario
     m = scenario.channel.m_bands
@@ -684,8 +687,9 @@ def run(cfg: SimConfig, trace_path: str | Path | None = None) -> SimReport:
 
     nonempty_list, departures_list = nonempty.tolist(), departures.tolist()
     ratios = [d / n for d, n in zip(departures_list, nonempty_list) if n > 0]
-    empirical_mu_p = sum(ratios) / len(ratios) if ratios else 0.0
-    empirical_mu_s = n_successes / n_opportunities if n_opportunities else 0.0
+    # a ratio with no denominator is undefined, like std_err_mu_s without data
+    empirical_mu_p = sum(ratios) / len(ratios) if ratios else math.nan
+    empirical_mu_s = n_successes / n_opportunities if n_opportunities else math.nan
 
     if measured >= 2:
         slope = _drift_slope(measured, sum_qs, sum_iqs)

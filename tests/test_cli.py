@@ -190,6 +190,27 @@ def test_simulate_json_bytes_are_pinned(tiny_config, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_JSON_SHA256
 
 
+def test_simulate_prints_null_for_a_rate_with_nothing_to_count(tmp_path, capsys):
+    # no primary traffic: no band is ever nonempty, so no primary is ever served
+    config = write_config(tmp_path, {**TINY, "lambda_p": 0.0})
+    argv = ["simulate", "--config", config, "--slots", "2000", "--format", "json"]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["empirical_mu_p"] is None
+    assert data["mu_p_analytical"] == 0.6400000000000001
+    assert 0.0 <= data["empirical_mu_s"] <= 1.0  # DOMINANT: every slot is an opportunity
+    # nor any secondary traffic: ORIGINAL mode never has a transmission opportunity
+    config = write_config(tmp_path, {**TINY, "lambda_p": 0.0, "lambda_s": 0.0}, name="idle.json")
+    argv = ["simulate", "--config", config, "--slots", "2000", "--mode", "original"]
+    assert main(argv + ["--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["empirical_mu_p"] is data["empirical_mu_s"] is data["std_err_mu_s"] is None
+    assert main(argv) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    values = dict(zip(header.split(","), row.split(",")))
+    assert values["empirical_mu_p"] == values["empirical_mu_s"] == "nan"
+
+
 def test_csv_floats_round_trip(tiny_config, capsys):
     main(["analyze", "--config", tiny_config])
     header, row = capsys.readouterr().out.splitlines()

@@ -1,25 +1,30 @@
 """The O(m) closed forms: oracle agreement, exact-arithmetic accuracy, domain edges."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import specagg.channel
 from specagg import (
     PowerMode,
     SensingParams,
     TrafficParams,
+    UnstablePrimaryError,
     empty_probability,
+    optimize_sensed_bands,
     primary_service_rate,
     secondary_service_rate,
     secondary_service_rate_oracle,
     single_band_service_rate,
+    stability_region,
     su_success_prob,
 )
 
-from conftest import make_channel
+from conftest import make_channel, reference_scenario
 
 # derandomized so every run draws the same examples; no example database
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=100)
@@ -153,3 +158,90 @@ def test_closed_forms_are_exactly_zero_without_opportunity(m):
     ):
         _assert_positive_zero(secondary_service_rate(*args))
         _assert_positive_zero(single_band_service_rate(*args))
+
+
+@st.composite
+def sweep_points(draw, max_bands=60):
+    """A point for the two sweeps, with lambda_p in [0, mu_p].
+
+    k_antennas runs past m_bands, and tau_b_frac takes 0 and values at
+    which the sensing passes fill the slot, where s(n) is 0 at every width.
+    """
+    m = draw(st.integers(1, max_bands))
+    channel = make_channel(
+        snr_s=draw(st.floats(0.1, 10.0)),
+        spectral_eff_r=draw(st.floats(0.1, 4.0)),
+        tau_b_frac=draw(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 0.2)),
+        m_bands=m,
+        k_antennas=draw(st.integers(1, m + 10)),
+        p_bar_p=draw(unit_or_end),
+        power_mode=draw(st.sampled_from(PowerMode)),
+    )
+    sensing = SensingParams(p_fa=draw(unit_or_end), p_md=draw(unit_or_end))
+    lambda_p = draw(unit_or_end) * primary_service_rate(channel, sensing)
+    return channel, sensing, TrafficParams(lambda_p=lambda_p, lambda_s=0.0)
+
+
+@PROPERTY
+@given(sweep_points())
+def test_profile_is_the_closed_form_at_every_band_count(point):
+    channel, sensing, traffic = point
+    assume(empty_probability(primary_service_rate(channel, sensing), traffic) > 0.0)
+    result = optimize_sensed_bands(*point)
+    for m, rate in result.profile:
+        assert rate == secondary_service_rate(replace(channel, m_bands=m), sensing, traffic)
+    assert result.mu_s_opt == result.profile[result.m_opt - 1][1]
+
+
+@PROPERTY
+@given(sweep_points(), st.lists(unit_or_end, max_size=4), st.lists(unit, max_size=3))
+def test_boundary_is_the_closed_form_at_every_grid_value(point, loads, lambda_ps):
+    channel, sensing, _ = point
+    mu_p = primary_service_rate(channel, sensing)
+    grid = [load * mu_p for load in loads] + lambda_ps  # mu_p itself, and past it
+    points = stability_region(channel, sensing, grid)
+    assert [p.lambda_p for p in points] == grid
+    for p in points:
+        traffic = TrafficParams(lambda_p=p.lambda_p, lambda_s=0.0)
+        try:
+            idle = empty_probability(mu_p, traffic) > 0.0
+        except UnstablePrimaryError:
+            idle = False
+        if idle:
+            assert p.lambda_s_max == secondary_service_rate(channel, sensing, traffic)
+        else:
+            assert p.skipped
+
+
+@pytest.fixture
+def table_entries(monkeypatch):
+    """The widths passed to su_success_prob by every s(n) table built."""
+    widths = []
+    build = specagg.channel.su_success_prob
+
+    def counted(params, eta):
+        widths.append(eta)
+        return build(params, eta)
+
+    monkeypatch.setattr(specagg.channel, "su_success_prob", counted)
+    return widths
+
+
+def test_optimizer_builds_one_table_per_sensing_pass_count(table_entries):
+    sc = reference_scenario(m_bands=100)  # 8 antennas: 13 pass counts
+    # one table per pass count p, at its widest m = min(8p, 100): 724 entries
+    # in all, where rebuilding s(1..m) for every m takes 1 + ... + 100 = 5050
+    optimize_sensed_bands(sc.channel, sc.sensing, sc.traffic)
+    assert len(table_entries) == sum(min(8 * p, 100) for p in range(1, 14)) == 724
+    optimize_sensed_bands(sc.channel, sc.sensing, sc.traffic)
+    assert len(table_entries) == 2 * 724  # nothing outlives a call
+
+
+@pytest.mark.parametrize("grid_length", [1, 5, 18])
+def test_stability_region_builds_one_table_per_call(grid_length, table_entries):
+    sc = reference_scenario(m_bands=40)
+    grid = [0.05 * i for i in range(grid_length)]
+    stability_region(sc.channel, sc.sensing, grid)
+    assert table_entries == list(range(1, 41))
+    stability_region(sc.channel, sc.sensing, grid)
+    assert table_entries == 2 * list(range(1, 41))

@@ -87,7 +87,9 @@ def test_no_arrivals_means_nothing_ever_happens():
     assert report.mean_queue_s == 0.0
     assert report.mean_queue_p == 0.0
     assert report.collisions == 0
-    assert report.empirical_mu_s == 0.0  # no nonempty-queue slots at all
+    # no band is ever busy and no slot is an opportunity: both ratios are undefined
+    assert math.isnan(report.empirical_mu_p)
+    assert math.isnan(report.empirical_mu_s)
 
 
 def test_step_idle_system_only_accumulates_arrivals():
@@ -493,8 +495,8 @@ def reference_run(cfg: SimConfig) -> SimReport:
         slots=cfg.slots,
         warmup=warmup,
         seed=cfg.seed,
-        empirical_mu_p=sum(ratios) / len(ratios) if ratios else 0.0,
-        empirical_mu_s=float(successes.mean()) if n_opportunities else 0.0,
+        empirical_mu_p=sum(ratios) / len(ratios) if ratios else math.nan,
+        empirical_mu_s=float(successes.mean()) if n_opportunities else math.nan,
         throughput_s=su_departures / measured,
         mean_queue_p=sum_qp / (measured * m),
         mean_queue_s=float(qs_trace.mean()),
