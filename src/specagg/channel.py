@@ -11,6 +11,7 @@ exp(-(2**r - 1) / g).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -73,6 +74,12 @@ class ChannelParams:
             raise ValueError(f"spectral_eff_r: must be > 0, got {self.spectral_eff_r}")
         if not 0.0 <= self.tau_b_frac <= 1.0:
             raise ValueError(f"tau_b_frac: must be in [0, 1], got {self.tau_b_frac}")
+        for name in ("m_bands", "k_antennas"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                raise ValueError(f"{name}: must be an integer, got {count}")
+            # a numpy integer is kept as a Python int, which cannot overflow
+            object.__setattr__(self, name, int(count))
         if not self.m_bands >= 1:
             raise ValueError(f"m_bands: must be >= 1, got {self.m_bands}")
         if not self.k_antennas >= 1:

@@ -30,11 +30,16 @@ before t, so pass k settles the first k slots: a block of n slots reaches
 the fixed point within n + 1 passes, and that fixed point is the causal run.
 
 --trace renders a block at a time too: every field of the block's slots
-becomes a column of one (slots, width) byte matrix, integers as decimal
-digits four at a time from a lookup table with NUL for each leading zero,
-flags as "false" or "true" padded with a NUL, and the key text between
-them broadcast to every row.  Dropping the NULs leaves the NDJSON lines,
-which are written as bytes.
+becomes a column of one (slots, width) byte matrix, with the key text
+between them broadcast to every row.  Each kind of field is rendered in one
+call.  The four band masks are stacked, and up to 64 bands each mask of a
+slot is byte-packed into one word, eight bands to a byte.  The slot numbers
+and those words are split into four-digit groups by repeated division by
+10 000 and written from a lookup table, with NUL for each leading zero.  The
+five flags are stacked too, each "false" or "true" padded with a NUL.
+Dropping the NULs from the flat matrix leaves the NDJSON lines, which are
+written as bytes.  A run keeps the matrix from block to block while its
+columns keep their widths, so the key text is copied once per layout.
 
 step() is the literal per-slot reference of the protocol, the way the
 enumeration oracle backs the closed form: the tests check run() against a
@@ -178,14 +183,29 @@ class SimReport:
         return out
 
 
-# The weight of each band within a 64-band word.  Built from Python ints: a
-# uint64 shift ufunc at import time costs analysis-only callers ~0.1 MB RSS.
-_BAND_WEIGHTS = np.array([1 << band for band in range(64)], dtype=np.uint64)
+# The weight of each band within its byte of a band word.
+_BYTE_WEIGHTS = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)[:, None]
 
 
 def _band_words(bits: np.ndarray) -> np.ndarray:
-    """Sum a (bands <= 64, slots) boolean matrix into one uint64 word per slot."""
-    return (bits * _BAND_WEIGHTS[: len(bits), None]).sum(axis=0)
+    """Fold (..., bands <= 64, slots) booleans into one uint64 word per slot.
+
+    Each run of 8 bands is weighted by 1..128 and summed into one byte, and
+    a slot's bytes, lowest bands first, are read as one little-endian word
+    of 1, 2, 4 or 8 bytes, the narrowest that holds them, so the words do
+    not depend on the host's byte order.
+    """
+    *lead, m, n = bits.shape
+    count = -(-m // 8)
+    size = 1 << (count - 1).bit_length()
+    words = np.zeros((*lead, n, size), dtype=np.uint8)
+    columns = np.swapaxes(words, -1, -2)
+    u8 = bits.view(np.uint8)
+    for j in range(count):
+        rows = u8[..., 8 * j : 8 * j + 8, :]
+        weighted = rows * _BYTE_WEIGHTS[: rows.shape[-2]]
+        columns[..., j, :] = weighted.sum(axis=-2, dtype=np.uint8)
+    return words.view(f"<u{size}")[..., 0].astype(np.uint64)
 
 
 def _pack_slot_masks(bits: np.ndarray) -> list[int]:
@@ -534,6 +554,7 @@ _TRACE_KEYS = [
 _FLAG_TEXT = np.frombuffer(b"false" b"true\0", dtype=np.uint8).reshape(2, 5)
 # 1, 10, ..., 10**19: every power of ten below 2**64
 _POWERS_OF_TEN = np.array([10**k for k in range(20)], dtype=np.uint64)
+_TEN_THOUSAND = np.uint64(10_000)
 # Row d keeps the last d of 20 digits and clears the rest; 0 has one digit.
 _DIGIT_MASKS = np.array(
     [[0] * (20 - max(d, 1)) + [0xFF] * max(d, 1) for d in range(21)], dtype=np.uint8
@@ -553,7 +574,15 @@ def _decimal_text(values: np.ndarray, top: int) -> np.ndarray:
     """uint64 values up to top as (n, width) right-aligned ASCII decimals,
     four digits at a time, with NUL for each leading zero."""
     width = 4 * -(-len(str(top)) // 4)
-    groups = values[:, None] // _POWERS_OF_TEN[width - 4 :: -4] % 10_000
+    groups = np.empty((len(values), width // 4), dtype=np.intp)
+    # split off the low four digits at a time: dividing by one scalar takes
+    # numpy's fast integer division, which a broadcast array of powers does not
+    rest = values
+    for g in range(width // 4 - 1, 0, -1):
+        quotient = rest // _TEN_THOUSAND
+        groups[:, g] = rest - quotient * _TEN_THOUSAND
+        rest = quotient
+    groups[:, 0] = rest
     text = np.take(_group_digits(), groups, axis=0).reshape(len(values), width)
     digits = np.searchsorted(_POWERS_OF_TEN, values, side="right")
     text &= np.take(_DIGIT_MASKS[:, -width:], digits, axis=0)
@@ -561,52 +590,86 @@ def _decimal_text(values: np.ndarray, top: int) -> np.ndarray:
 
 
 def _flag_text(flags: np.ndarray) -> np.ndarray:
-    """Each flag as "false" or as "true" and a NUL; (n, 5) bytes."""
+    """Each flag as "false" or as "true" and a NUL; (..., 5) bytes."""
     return np.take(_FLAG_TEXT, flags.view(np.uint8), axis=0)
 
 
-def _mask_text(bits: np.ndarray) -> np.ndarray:
-    """The band bitmask of each slot of a (bands, slots) boolean matrix as text.
+def _mask_text(masks: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+    """The band bitmask of each slot of some (bands, slots) boolean matrices
+    as text, one (slots, width) byte matrix per mask.
 
-    Up to 64 bands the mask is one uint64 word; wider masks are Python ints,
-    left-aligned and NUL-padded.
+    Up to 64 bands the masks are stacked, every mask is one uint64 word per
+    slot and all of them are rendered in one call; wider masks are Python
+    ints, left-aligned and NUL-padded to the longest of their own mask.
     """
-    m = bits.shape[0]
+    m, n = masks[0].shape
     if m <= 64:
-        return _decimal_text(_band_words(bits), (1 << m) - 1)
-    text = np.array([str(mask) for mask in _pack_slot_masks(bits)], dtype=bytes)
-    return text.view(np.uint8).reshape(len(text), -1)
+        words = _band_words(np.stack(masks)).ravel()
+        return list(_decimal_text(words, (1 << m) - 1).reshape(len(masks), n, -1))
+    texts = []
+    for bits in masks:
+        text = np.array([str(mask) for mask in _pack_slot_masks(bits)], dtype=bytes)
+        texts.append(text.view(np.uint8).reshape(n, -1))
+    return texts
 
 
-def _trace_lines(first: int, block: _Block, draws: SlotDraws) -> np.ndarray:
-    """One compact JSON object per slot of the block, slots numbered from first.
+class _TraceLines:
+    """Renders blocks as one compact JSON object per slot, as bytes.
 
-    The block is rendered as one (slots, width) byte matrix: the key text
-    is copied to every row, then each value fills its NUL-padded column.
-    Dropping the NULs leaves the lines as bytes.
+    A block is rendered as one (slots, width) byte matrix: the key text is
+    copied to every row, then each value fills its NUL-padded column.  The
+    four band masks are rendered together, as are the five flags.  Dropping
+    the NULs leaves the lines.  The matrix is kept from block to block while
+    the columns keep their widths, so the key text is copied once per
+    layout and a block does not allocate the matrix afresh.
     """
-    n = len(block.qs)
-    values = (
-        _decimal_text(np.arange(first, first + n, dtype=np.uint64), first + n - 1),
-        _mask_text(block.occupancy),
-        _mask_text(block.declared),
-        _flag_text(block.su_transmitted),
-        _flag_text(block.su_success),
-        _flag_text(block.su_departure),
-        _mask_text(block.pu_departures),
-        _flag_text(block.collision),
-        _mask_text(draws.primary_arrivals),
-        _flag_text(draws.secondary_arrival),
-    )
-    parts = [_TRACE_KEYS[0]]
-    for value, key in zip(values, _TRACE_KEYS[1:]):
-        parts += (np.zeros(value.shape[1], dtype=np.uint8), key)
-    ends = np.cumsum([len(part) for part in parts])
-    lines = np.empty((n, ends[-1]), dtype=np.uint8)
-    lines[:] = np.concatenate(parts)
-    for value, end in zip(values, ends[1::2]):
-        lines[:, end - value.shape[1] : end] = value
-    return lines[lines != 0]
+
+    def __init__(self) -> None:
+        self._layout: tuple[int, ...] | None = None
+
+    def __call__(self, first: int, block: _Block, draws: SlotDraws) -> np.ndarray:
+        """The lines of the block's slots, numbered from first."""
+        n = len(block.qs)
+        occupancy, declared, pu_departures, arrivals = _mask_text(
+            (block.occupancy, block.declared, block.pu_departures, draws.primary_arrivals)
+        )
+        su_transmitted, su_success, su_departure, collision, arrival = _flag_text(
+            np.stack(
+                (
+                    block.su_transmitted,
+                    block.su_success,
+                    block.su_departure,
+                    block.collision,
+                    draws.secondary_arrival,
+                )
+            )
+        )
+        values = (
+            _decimal_text(np.arange(first, first + n, dtype=np.uint64), first + n - 1),
+            occupancy,
+            declared,
+            su_transmitted,
+            su_success,
+            su_departure,
+            pu_departures,
+            collision,
+            arrivals,
+            arrival,
+        )
+        layout = (n, *(value.shape[1] for value in values))
+        if layout != self._layout:
+            parts = [_TRACE_KEYS[0]]
+            for value, key in zip(values, _TRACE_KEYS[1:]):
+                parts += (np.zeros(value.shape[1], dtype=np.uint8), key)
+            ends = np.cumsum([len(part) for part in parts])
+            self._lines = np.empty((n, ends[-1]), dtype=np.uint8)
+            self._lines[:] = np.concatenate(parts)
+            self._value_ends = ends[1::2]
+            self._layout = layout
+        for value, end in zip(values, self._value_ends):
+            self._lines[:, end - value.shape[1] : end] = value
+        flat = self._lines.reshape(-1)
+        return flat[flat != 0]
 
 
 def run(cfg: SimConfig, trace_path: str | Path | None = None) -> SimReport:
@@ -645,6 +708,7 @@ def run(cfg: SimConfig, trace_path: str | Path | None = None) -> SimReport:
     windows = np.zeros((2, BATCH_COUNT), dtype=np.int64)
 
     trace_file = open(trace_path, "wb") if trace_path is not None else None
+    trace_lines = _TraceLines()
     try:
         for first in range(0, cfg.slots, block_slots):
             draws = streams.draw_block(min(block_slots, cfg.slots - first))
@@ -679,7 +743,7 @@ def run(cfg: SimConfig, trace_path: str | Path | None = None) -> SimReport:
                     for row, bits in enumerate((success, willing)):
                         windows[row, k] += np.add.reduceat(bits[:stop], edges, dtype=np.int64)
             if trace_file is not None:
-                trace_file.write(_trace_lines(first, block, draws))
+                trace_file.write(trace_lines(first, block, draws))
             qp, qs = block.qp_end, block.qs_end
     finally:
         if trace_file is not None:

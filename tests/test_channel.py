@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from specagg import (
@@ -70,6 +71,21 @@ def test_channel_params_require_exactly_one_primary_rate_input():
 def test_channel_params_validation(field, value):
     with pytest.raises(ValueError, match=field):
         make_channel(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["m_bands", "k_antennas"])
+@pytest.mark.parametrize("value", [2.5, 13.0, True, np.float64(13.0)])
+def test_band_and_antenna_counts_must_be_integers(field, value):
+    with pytest.raises(ValueError) as info:
+        make_channel(**{field: value})
+    assert str(info.value) == f"{field}: must be an integer, got {value}"
+
+
+@pytest.mark.parametrize("field", ["m_bands", "k_antennas"])
+def test_numpy_integer_counts_are_kept_as_python_ints(field):
+    channel = make_channel(**{field: np.int64(13)})
+    assert getattr(channel, field) == 13 and type(getattr(channel, field)) is int
+    assert channel == make_channel(**{field: 13})
 
 
 @pytest.mark.parametrize("snr_p", [0.0, -1.0, math.nan])

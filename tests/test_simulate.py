@@ -25,6 +25,7 @@ from specagg import (
     run,
     simulate,
     step,
+    su_success_table,
 )
 
 from conftest import make_channel, reference_scenario
@@ -350,6 +351,28 @@ def test_trace_matches_step_reference(m_bands, mode, tmp_path):
     got, want = path.read_bytes(), reference_trace(cfg)
     assert got.splitlines() == want.splitlines()  # names the first line that differs
     assert got == want
+
+
+def test_trace_renderer_reuses_its_matrix_only_within_one_layout():
+    # a renderer keeps its line matrix between blocks whose columns have the
+    # same widths; each block must render as it does on a fresh renderer
+    scenario = small_scenario(m_bands=9)
+    streams = ProtocolStreams(scenario, 73)
+    success = np.asarray(su_success_table(scenario.channel))
+    blocks = []
+    for n in (300, 300, 200):
+        draws = streams.draw_block(n)
+        blocks.append((draws, simulate._run_block(draws, np.zeros(9), 0, True, success)))
+    render = simulate._TraceLines()
+    # the same layout with other values, a wider slot column (its numbers
+    # cross 10**4), back to the first layout, then fewer slots
+    for first, index in ((0, 0), (5_000, 1), (9_800, 0), (0, 1), (0, 2)):
+        draws, block = blocks[index]
+        got = render(first, block, draws).tobytes()
+        assert got == simulate._TraceLines()(first, block, draws).tobytes()
+        assert [json.loads(line)["slot"] for line in got.splitlines()] == list(
+            range(first, first + len(block.qs))
+        )
 
 
 def test_primary_arrival_stream_is_independent_of_secondary_load():
@@ -696,6 +719,39 @@ def test_pack_slot_masks_matches_a_per_slot_fold(m):
     assert masks == expected
     assert masks[0] == (1 << m) - 1 and masks[1] == 0
     assert all(type(mask) is int for mask in masks)
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 16, 17, 63, 64])
+def test_band_words_match_a_per_slot_fold(m):
+    # bands are packed a byte at a time, so the edges sit at multiples of 8
+    rng = np.random.default_rng(m)
+    bits = rng.random((3, m, 150)) < 0.5
+    bits[:, :, 0] = True
+    bits[:, :, 1] = False
+    bits[1, :, 2:20] = np.eye(m, 18, dtype=bool)  # one band at a time
+    expected = [
+        [sum(1 << band for band in range(m) if mask[band, t]) for t in range(mask.shape[1])]
+        for mask in bits
+    ]
+    words = simulate._band_words(bits)
+    assert words.dtype == np.uint64 and words.shape == (3, 150)
+    assert words.tolist() == expected
+    assert words[0, 0] == (1 << m) - 1 and words[0, 1] == 0
+    assert simulate._band_words(bits[2]).tolist() == expected[2]
+
+
+@pytest.mark.parametrize("width, top", [(4, 9_999), (8, 10**8 - 1), (12, 10**12 - 1),
+                                        (16, 10**16 - 1), (20, 2**64 - 1)])  # fmt: skip
+def test_decimal_text_matches_str(width, top):
+    values = [0, 9, 10, 9_999, 10_000, top] + [10**k + d for k in range(20) for d in (-1, 1)]
+    values = [v for v in values if v <= top]
+    text = simulate._decimal_text(np.array(values, dtype=np.uint64), top)
+    assert text.shape == (len(values), width)
+    assert [row.tobytes().replace(b"\0", b"").decode() for row in text] == [
+        str(v) for v in values
+    ]
+    # right-aligned: every NUL comes before the first digit
+    assert all(row.tobytes().lstrip(b"\0").isdigit() for row in text)
 
 
 def test_draw_block_and_next_slot_share_one_layout():
