@@ -25,9 +25,17 @@ __all__ = [
     "su_success_table",
 ]
 
-# 2.0 ** r overflows float64 at r >= 1024; the success probability has long
-# since underflowed to zero by then.
-_MAX_FINITE_RATE = 1024.0
+_LN2 = math.log(2.0)
+
+
+def _integer(name: str, value) -> int:
+    """value as a Python int, which cannot overflow as a numpy integer can.
+
+    A bool, or anything that is not an integer, is a ValueError naming name.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}: must be an integer, got {value}")
+    return int(value)
 
 
 class PowerMode(Enum):
@@ -75,11 +83,7 @@ class ChannelParams:
         if not 0.0 <= self.tau_b_frac <= 1.0:
             raise ValueError(f"tau_b_frac: must be in [0, 1], got {self.tau_b_frac}")
         for name in ("m_bands", "k_antennas"):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-                raise ValueError(f"{name}: must be an integer, got {count}")
-            # a numpy integer is kept as a Python int, which cannot overflow
-            object.__setattr__(self, name, int(count))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not self.m_bands >= 1:
             raise ValueError(f"m_bands: must be >= 1, got {self.m_bands}")
         if not self.k_antennas >= 1:
@@ -100,7 +104,23 @@ def pu_success_prob(params: ChannelParams) -> float:
     """Per-slot success probability of a primary packet on its own link."""
     if params.p_bar_p is not None:
         return params.p_bar_p
-    return math.exp(-(2.0 ** params.spectral_eff_r - 1.0) / params.snr_p)
+    return _link_success(params.spectral_eff_r, params.snr_p)
+
+
+def _link_success(rate: float, snr: float, eta: int = 1) -> float:
+    """exp(-eta (2**rate - 1) / snr), the success of a Rayleigh link.
+
+    Where 2**rate overflows, the exponent comes from its logarithm,
+    rate ln 2 + ln eta - ln snr, in which the -1 is far below precision, so
+    the result is 0.0 only where exp of minus the exponent underflows.
+    """
+    try:
+        exponent = (2.0 ** rate - 1.0) / snr * eta
+    except OverflowError:
+        log_exponent = rate * _LN2 + math.log(eta) - math.log(snr)
+        # exp overflows just above 709.78, where exp(-exponent) is long since 0.0
+        exponent = math.exp(log_exponent) if log_exponent < 709.0 else math.inf
+    return math.exp(-exponent)
 
 
 def _check_eta(params: ChannelParams, eta: int) -> None:
@@ -129,12 +149,11 @@ def su_success_prob(params: ChannelParams, eta: int) -> float:
     exponent by eta.
     """
     rate = su_effective_rate(params, eta)
-    if rate >= _MAX_FINITE_RATE:
+    if rate == math.inf:
         return 0.0
-    exponent = (2.0 ** rate - 1.0) / params.snr_s
-    if params.power_mode is PowerMode.LIMITED:
-        exponent *= eta
-    return math.exp(-exponent)
+    # LIMITED mode spreads the fixed total power over the aggregate
+    limited = params.power_mode is PowerMode.LIMITED
+    return _link_success(rate, params.snr_s, eta if limited else 1)
 
 
 def su_success_table(params: ChannelParams) -> tuple[float, ...]:

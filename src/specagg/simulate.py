@@ -41,6 +41,10 @@ Dropping the NULs from the flat matrix leaves the NDJSON lines, which are
 written as bytes.  A run keeps the matrix from block to block while its
 columns keep their widths, so the key text is copied once per layout.
 
+run() keeps the stream, the blocks, the trace and the backlogs handed on;
+a private _Tally adds up every sum the report needs, the secondary's arrivals
+and departures over the whole horizon and the rest over the measured slots.
+
 step() is the literal per-slot reference of the protocol, the way the
 enumeration oracle backs the closed form: the tests check run() against a
 loop of step() calls, field for field.
@@ -54,6 +58,7 @@ run() (draw_block) and step() (next_slot) see the same draws.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
@@ -62,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import pu_success_prob, su_success_table
+from .channel import _integer, pu_success_prob, su_success_table
 from .config import ScenarioConfig
 
 __all__ = [
@@ -114,12 +119,14 @@ class SimConfig:
     stable_slope: float = 0.001
 
     def __post_init__(self) -> None:
+        if self.warmup is None:
+            object.__setattr__(self, "warmup", _integer("slots", self.slots) // 10)
+        for name in ("slots", "seed", "warmup"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.slots < 1:
             raise ValueError(f"slots: must be >= 1, got {self.slots}")
         if self.seed < 0:
             raise ValueError(f"seed: must be >= 0, got {self.seed}")
-        if self.warmup is None:
-            object.__setattr__(self, "warmup", self.slots // 10)
         if not 0 <= self.warmup < self.slots:
             raise ValueError(
                 f"warmup: must be in [0, slots={self.slots}), got {self.warmup}"
@@ -672,6 +679,90 @@ class _TraceLines:
         return flat[flat != 0]
 
 
+class _Tally:
+    """Every sum that run() reports, added one block at a time.
+
+    The secondary's arrivals and departures cover the whole horizon; every
+    other sum covers only the measured slots, after the warmup.  Departures
+    are counted from su_departure and not derived as arrivals less the final
+    backlog: the conservation checks compare the two, which a derived count
+    would pass by construction.
+    """
+
+    def __init__(self, m: int, slots: int, warmup: int) -> None:
+        self._warmup = warmup
+        self._measured = slots - warmup
+        self._arrivals_s = self._departures_s = self._sum_qp = self._sum_qs = self._sum_iqs = 0
+        # per band: slots that start nonempty (row 0) and departures (row 1)
+        self._bands = np.zeros((2, m), dtype=np.int64)
+        # collisions, su_departures, successes and opportunities
+        self._flags = np.zeros(4, dtype=np.int64)
+        # successes (row 0) and opportunities (row 1) in each of BATCH_COUNT
+        # equal windows of measured slots; the slots after the last are not batched
+        self._windows = np.zeros((2, BATCH_COUNT), dtype=np.int64)
+
+    def add(self, first: int, block: _Block, draws: SlotDraws) -> None:
+        """Count the block whose slots are numbered from first."""
+        self._arrivals_s += int(np.count_nonzero(draws.secondary_arrival))
+        self._departures_s += int(np.count_nonzero(block.su_departure))
+        lo = max(self._warmup - first, 0)
+        n = len(block.qs) - lo
+        if n <= 0:
+            return
+        # the backlogs may be int32; their sums are taken in int64
+        qs = block.qs[lo:]
+        sum_qs = int(qs.sum(dtype=np.int64))
+        start = first + lo - self._warmup  # the measured slots before the block's
+        self._sum_iqs += start * sum_qs + int(np.arange(n, dtype=np.int64) @ qs)
+        self._sum_qs += sum_qs
+        self._sum_qp += int(block.qp[:, lo:].sum(dtype=np.int64))
+        # summed as bytes in the narrowest dtype that holds the window
+        count = np.min_scalar_type(n)
+        self._bands[0] += block.occupancy[:, lo:].view(np.uint8).sum(1, dtype=count)
+        self._bands[1] += block.pu_departures[:, lo:].view(np.uint8).sum(1, dtype=count)
+        flags = np.stack((block.collision, block.su_departure, block.su_success, block.willing))
+        flags = flags[:, lo:].view(np.uint8)
+        self._flags += flags.sum(1, dtype=count)
+        batch = self._measured // BATCH_COUNT
+        stop = min(start + n, BATCH_COUNT * batch) - start
+        if stop > 0:
+            # where each window this block reaches begins within it
+            edges = np.maximum(np.arange(-(start % batch), stop, batch), 0)
+            k = slice(start // batch, start // batch + len(edges))
+            self._windows[:, k] += np.add.reduceat(flags[2:, :stop], edges, 1, dtype=np.int64)
+
+    def report(self, cfg: SimConfig, final_queue_s: int) -> SimReport:
+        measured = self._measured
+        nonempty, departures = self._bands.tolist()
+        ratios = [d / n for d, n in zip(departures, nonempty) if n > 0]
+        collisions, su_departures, successes, opportunities = self._flags.tolist()
+        # a slope of NaN, from fewer than two measured slots, is neither verdict
+        slope = _drift_slope(measured, self._sum_qs, self._sum_iqs) if measured >= 2 else math.nan
+        verdict = (
+            Verdict.UNSTABLE if slope > cfg.unstable_slope
+            else Verdict.STABLE if slope < cfg.stable_slope
+            else Verdict.INCONCLUSIVE
+        )
+        return SimReport(
+            mode=cfg.mode,
+            slots=cfg.slots,
+            warmup=self._warmup,
+            seed=cfg.seed,
+            # a ratio with no denominator is undefined, like std_err_mu_s without data
+            empirical_mu_p=sum(ratios) / len(ratios) if ratios else math.nan,
+            empirical_mu_s=successes / opportunities if opportunities else math.nan,
+            throughput_s=su_departures / measured,
+            mean_queue_p=self._sum_qp / (measured * len(nonempty)),
+            mean_queue_s=self._sum_qs / measured,
+            stability_verdict_s=verdict,
+            collisions=collisions,
+            std_err_mu_s=_ratio_stderr(*self._windows),
+            arrivals_s=self._arrivals_s,
+            departures_s=self._departures_s,
+            final_queue_s=final_queue_s,
+        )
+
+
 def run(cfg: SimConfig, trace_path: str | Path | None = None) -> SimReport:
     """Simulate the configured horizon from empty queues and report statistics.
 
@@ -686,100 +777,19 @@ def run(cfg: SimConfig, trace_path: str | Path | None = None) -> SimReport:
     BATCH_COUNT windows of measured slots, NaN with fewer than BATCH_COUNT
     measured slots or no opportunity.
     """
-    scenario = cfg.scenario
-    m = scenario.channel.m_bands
+    m = cfg.scenario.channel.m_bands
     success_by_width = np.asarray(cfg._success_table)
-    streams = ProtocolStreams(scenario, cfg.seed)
-    warmup = cfg.warmup
-    measured = cfg.slots - warmup
+    streams = ProtocolStreams(cfg.scenario, cfg.seed)
     block_slots = _block_slots(m)
-
-    qp = np.zeros(m, dtype=np.int64)
-    qs = 0
-    nonempty = np.zeros(m, dtype=np.int64)
-    departures = np.zeros(m, dtype=np.int64)
-    sum_qp = sum_qs = sum_iqs = 0
-    collisions = su_departures = 0
-    arrivals_s_total = departures_s_total = 0
-    n_opportunities = n_successes = 0
-    # successes (row 0) and opportunities (row 1) in each window of batch
-    # measured slots; the measured slots after the last window are not batched
-    batch = measured // BATCH_COUNT
-    windows = np.zeros((2, BATCH_COUNT), dtype=np.int64)
-
-    trace_file = open(trace_path, "wb") if trace_path is not None else None
+    tally = _Tally(m, cfg.slots, cfg.warmup)
     trace_lines = _TraceLines()
-    try:
+    qp, qs = np.zeros(m, dtype=np.int64), 0
+    with open(trace_path, "wb") if trace_path is not None else nullcontext() as trace:
         for first in range(0, cfg.slots, block_slots):
             draws = streams.draw_block(min(block_slots, cfg.slots - first))
             block = _run_block(draws, qp, qs, cfg.mode is Mode.DOMINANT, success_by_width)
-            arrivals_s_total += int(np.count_nonzero(draws.secondary_arrival))
-            departures_s_total += int(np.count_nonzero(block.su_departure))
-            lo = max(warmup - first, 0)
-            if lo < len(block.qs):
-                # the backlogs may be int32; their sums are taken in int64
-                window_qs = block.qs[lo:]
-                block_sum_qs = int(window_qs.sum(dtype=np.int64))
-                sum_qp += int(block.qp[:, lo:].sum(dtype=np.int64))
-                start = first + lo - warmup  # the measured slots before the block's
-                sum_iqs += start * block_sum_qs + int(
-                    np.arange(len(window_qs), dtype=np.int64) @ window_qs
-                )
-                sum_qs += block_sum_qs
-                # summed as bytes in the narrowest dtype that holds the window
-                count = np.min_scalar_type(len(window_qs))
-                nonempty += block.occupancy[:, lo:].view(np.uint8).sum(1, dtype=count)
-                departures += block.pu_departures[:, lo:].view(np.uint8).sum(1, dtype=count)
-                collisions += int(np.count_nonzero(block.collision[lo:]))
-                su_departures += int(np.count_nonzero(block.su_departure[lo:]))
-                success, willing = block.su_success[lo:], block.willing[lo:]
-                n_opportunities += int(np.count_nonzero(willing))
-                n_successes += int(np.count_nonzero(success))
-                stop = min(start + len(success), BATCH_COUNT * batch) - start
-                if stop > 0:
-                    # where each window this block reaches begins within it
-                    edges = np.maximum(np.arange(-(start % batch), stop, batch), 0)
-                    k = slice(start // batch, start // batch + len(edges))
-                    for row, bits in enumerate((success, willing)):
-                        windows[row, k] += np.add.reduceat(bits[:stop], edges, dtype=np.int64)
-            if trace_file is not None:
-                trace_file.write(trace_lines(first, block, draws))
+            tally.add(first, block, draws)
+            if trace is not None:
+                trace.write(trace_lines(first, block, draws))
             qp, qs = block.qp_end, block.qs_end
-    finally:
-        if trace_file is not None:
-            trace_file.close()
-
-    nonempty_list, departures_list = nonempty.tolist(), departures.tolist()
-    ratios = [d / n for d, n in zip(departures_list, nonempty_list) if n > 0]
-    # a ratio with no denominator is undefined, like std_err_mu_s without data
-    empirical_mu_p = sum(ratios) / len(ratios) if ratios else math.nan
-    empirical_mu_s = n_successes / n_opportunities if n_opportunities else math.nan
-
-    if measured >= 2:
-        slope = _drift_slope(measured, sum_qs, sum_iqs)
-        if slope > cfg.unstable_slope:
-            verdict = Verdict.UNSTABLE
-        elif slope < cfg.stable_slope:
-            verdict = Verdict.STABLE
-        else:
-            verdict = Verdict.INCONCLUSIVE
-    else:
-        verdict = Verdict.INCONCLUSIVE
-
-    return SimReport(
-        mode=cfg.mode,
-        slots=cfg.slots,
-        warmup=warmup,
-        seed=cfg.seed,
-        empirical_mu_p=empirical_mu_p,
-        empirical_mu_s=empirical_mu_s,
-        throughput_s=su_departures / measured,
-        mean_queue_p=sum_qp / (measured * m),
-        mean_queue_s=sum_qs / measured,
-        stability_verdict_s=verdict,
-        collisions=collisions,
-        std_err_mu_s=_ratio_stderr(*windows),
-        arrivals_s=arrivals_s_total,
-        departures_s=departures_s_total,
-        final_queue_s=qs,
-    )
+    return tally.report(cfg, qs)

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -176,6 +177,38 @@ def test_probabilities_stay_in_unit_interval():
                 assert 0.0 <= pu_success_prob(ch) <= 1.0
                 for n in (1, 3, 5):
                     assert 0.0 <= su_success_prob(ch, n) <= 1.0
+
+
+def exact_link_success(rate: float, snr: float, eta: int = 1) -> float:
+    """exp(-eta (2**rate - 1) / snr) in 60-digit decimals, rounded to a float."""
+    context = decimal.Context(prec=60, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    with decimal.localcontext(context):
+        two_to_rate = decimal.Decimal(2) ** decimal.Decimal(rate)
+        exponent = eta * (two_to_rate - 1) / decimal.Decimal(snr)
+        return float((-exponent).exp())
+
+
+@pytest.mark.parametrize("snr", [1.0, 4.0, 1e308])
+# at r = 1024.5 and snr = 1e308 the exponent is 2.54 though 2**r overflows
+@pytest.mark.parametrize("r", [1023.9, 1024.0, 1024.5, 1100.0, 1e6])
+def test_success_is_exact_where_two_to_the_rate_overflows(r, snr):
+    # no sensing time: the secondary's rate over one band is r itself
+    channel = dict(spectral_eff_r=r, tau_b_frac=0.0, m_bands=4, k_antennas=4)
+    psd = make_channel(snr_s=snr, p_bar_p=None, snr_p=snr, **channel)
+    want = exact_link_success(r, snr)
+    assert pu_success_prob(psd) == pytest.approx(want, rel=1e-12, abs=0)
+    assert su_success_prob(psd, 1) == pytest.approx(want, rel=1e-12, abs=0)
+    limited = make_channel(snr_s=snr, power_mode=PowerMode.LIMITED, **channel)
+    for eta in (1, 3):
+        want = exact_link_success(su_effective_rate(limited, eta), snr, eta)
+        assert su_success_prob(limited, eta) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_success_where_two_to_the_rate_is_finite_is_the_plain_expression():
+    for r, snr in [(1023.9, 1e308), (2.0, 1.0), (20.0, 100.0), (1000.0, 1e300)]:
+        ch = make_channel(snr_s=snr, p_bar_p=None, snr_p=snr, spectral_eff_r=r, tau_b_frac=0.0)
+        plain = math.exp(-(2.0**r - 1.0) / snr)
+        assert pu_success_prob(ch) == plain and su_success_prob(ch, 1) == plain
 
 
 def test_extreme_rate_underflows_to_zero_without_overflow():

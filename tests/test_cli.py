@@ -3,8 +3,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from specagg.cli import main
+from specagg.config import SWEEP_AXES
 
 TINY = {
     "m_bands": 2,
@@ -605,3 +608,74 @@ def test_shipped_config_runs_through_every_command(config, capsys):
             assert all(list(row) == header for row in record)
         else:
             assert [key for key in record if key != "label"] == header
+
+
+def test_rate_past_two_to_the_1024_is_an_unstable_primary_not_a_traceback(tmp_path, capsys):
+    # 2**1024 overflows a float; the primary link's success is exactly 0.0
+    raw = json.loads(REFERENCE_CONFIG.read_text())
+    del raw["p_bar_p"]
+    raw |= {"spectral_eff_r": 1024, "snr_p": 4.0}
+    loaded = write_config(tmp_path, raw)
+    for command in ("analyze", "optimize"):
+        assert main([command, "--config", loaded]) == 2
+        assert capsys.readouterr().err == "specagg: lambda_p = 0.5 exceeds mu_p = 0.0\n"
+    idle = write_config(tmp_path, raw | {"lambda_p": 0})
+    assert main(["analyze", "--config", idle, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["mu_p"] == 0.0
+
+
+UNIT = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+# two draws in three near 2**r's overflow at r = 1024
+RATE = st.sampled_from([1023.9, 1024.0, 1024.5, 1100.0, 1e6]) | st.floats(1020.0, 1030.0)
+RATE |= st.floats(1e-3, 20.0)
+SNR = st.sampled_from([5e-324, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308])
+SNR |= st.floats(1e-3, 1e3)
+BANDS = st.sampled_from([1, 64, 65, 300]) | st.integers(1, 300)
+AXIS_VALUES = {"m_bands": BANDS, "k_antennas": st.integers(1, 400), "spectral_eff_r": RATE}
+
+
+@st.composite
+def config_files(draw):
+    """A scenario or sweep file that load_config accepts, with values at the edges."""
+    raw = {
+        "m_bands": draw(BANDS),
+        "k_antennas": draw(st.integers(1, 400)),
+        "tau_b_frac": draw(UNIT),
+        "spectral_eff_r": draw(RATE),
+        "snr_s": draw(SNR),
+        "p_fa": draw(UNIT),
+        "p_md": draw(UNIT),
+        "lambda_p": draw(UNIT),
+        "lambda_s": draw(UNIT),
+        "power_mode": draw(st.sampled_from(["PSD", "LIMITED"])),
+    }
+    raw |= {"snr_p": draw(SNR)} if draw(st.booleans()) else {"p_bar_p": draw(UNIT)}
+    if draw(st.booleans()):
+        axis = draw(st.sampled_from(SWEEP_AXES))
+        values = st.lists(AXIS_VALUES.get(axis, UNIT), min_size=1, max_size=3)
+        raw |= {"axis": axis, "values": draw(values)}
+        if draw(st.booleans()):
+            raw |= {"with_simulation": True, "sim_slots": 30, "sim_seed": 0}
+    return raw
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    database=None,
+    max_examples=40,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(raw=config_files(), mode=st.sampled_from(["dominant", "original"]))
+def test_every_command_exits_cleanly_on_any_loadable_config(tmp_path, capsys, raw, mode):
+    config = write_config(tmp_path, raw)
+    run_flags = ["--slots", "40", "--mode", mode, "--trace", str(tmp_path / "trace.ndjson")]
+    for command in ("analyze", "optimize", "simulate", "sweep", "compare"):
+        for fmt in ("csv", "json"):
+            argv = [command, "--config", config, "--format", fmt]
+            argv += run_flags if command == "simulate" else []
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2) and "Traceback" not in out + err, (argv, err)
+            if code == 0 and fmt == "json":
+                json.loads(out, parse_constant=_reject_constant)

@@ -68,6 +68,28 @@ def test_sim_config_validation_and_default_warmup():
         SimConfig(scenario=sc, mode=Mode.DOMINANT, slots=10, seed=-1)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("slots", 2000.5), ("seed", 1.5), ("warmup", 10.5), ("slots", True), ("seed", False),
+     ("warmup", True), ("slots", 2000.0), ("seed", np.float64(1.0)), ("warmup", "10")],
+)  # fmt: skip
+def test_sim_config_refuses_what_is_not_an_integer(field, value):
+    fields = dict(scenario=small_scenario(), mode=Mode.DOMINANT, slots=2000, seed=1)
+    with pytest.raises(ValueError) as info:
+        SimConfig(**fields | {field: value})
+    assert str(info.value) == f"{field}: must be an integer, got {value}"
+
+
+def test_sim_config_keeps_numpy_integers_as_python_ints():
+    fields = dict(scenario=small_scenario(), mode=Mode.DOMINANT, slots=2000, seed=1)
+    cfg = SimConfig(**fields | dict(slots=np.int64(2000), seed=np.int64(1), warmup=np.int32(200)))
+    default = SimConfig(**fields | dict(slots=np.int64(2000)))
+    for config in (cfg, default):
+        assert all(type(getattr(config, name)) is int for name in ("slots", "seed", "warmup"))
+    assert cfg == default == SimConfig(**fields)
+    assert run(cfg).to_dict() == run(SimConfig(**fields)).to_dict()
+
+
 def test_identical_seed_gives_identical_report():
     cfg = SimConfig(scenario=small_scenario(), mode=Mode.ORIGINAL, slots=20_000, seed=99)
     assert run(cfg).to_dict() == run(cfg).to_dict()
