@@ -29,6 +29,25 @@ previous one until z stops changing.  Slot t of a pass depends only on z
 before t, so pass k settles the first k slots: a block of n slots reaches
 the fixed point within n + 1 passes, and that fixed point is the causal run.
 
+Only the first pass scans every primary queue; each later ORIGINAL pass
+repairs the backlogs of the one before in place.  From z = 1, z can only
+fall: a silent secondary blocks no primary, so with z' <= z every primary
+is served at least as often and its backlog can only fall.  A band that
+empties either made the old pass collide, with no success, or can only
+widen the declared set, so with s(n) nondecreasing the secondary succeeds at
+least as often wherever it is backlogged, its backlog can only fall too,
+and z' <= z holds again in the next pass.  A repaired band stays at or
+below its old backlog and rejoins it by the first slot where the old
+backlog is 0, after which both see the same draws.  So a repair finds the
+busy band-slots that a newly silent secondary frees and rescans each band
+only from there to that slot, or to the block's end, in one segmented
+Lindley scan.  s(n) is nondecreasing in exact arithmetic but need not be to
+the last bit (LIMITED power flattens n (2^(c/n) - 1) at large n), so a
+pass in which z rises anywhere scans every band again; the repair is exact
+whenever no served flag falls, which that guard ensures.  The secondary
+part of every pass (occupancy, the declared set, the width, collisions,
+successes and the secondary's own scan) is recomputed in full.
+
 --trace renders a block at a time too: every field of the block's slots
 becomes a column of one (slots, width) byte matrix, with the key text
 between them broadcast to every row.  Each kind of field is rendered in one
@@ -58,6 +77,7 @@ run() (draw_block) and step() (next_slot) see the same draws.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -130,6 +150,18 @@ class SimConfig:
         if not 0 <= self.warmup < self.slots:
             raise ValueError(
                 f"warmup: must be in [0, slots={self.slots}), got {self.warmup}"
+            )
+        for name in ("unstable_slope", "stable_slope"):
+            value = getattr(self, name)
+            finite = isinstance(value, numbers.Integral) or (
+                isinstance(value, numbers.Real) and math.isfinite(value)
+            )
+            if isinstance(value, bool) or not finite:
+                raise ValueError(f"{name}: must be a finite number, got {value!r}")
+        if self.stable_slope > self.unstable_slope:
+            raise ValueError(
+                f"stable_slope: must be <= unstable_slope={self.unstable_slope}, "
+                f"got {self.stable_slope}"
             )
         # step() reads it every slot and run() once; building it calls
         # su_success_prob m times, so it is built once, when the config is
@@ -411,14 +443,13 @@ def _block_slots(m: int) -> int:
     return max(_MIN_BLOCK_SLOTS, _BLOCK_ELEMENTS // m)
 
 
-def _lindley(q0, arrivals: np.ndarray, service: np.ndarray):
-    """Backlogs of q' = max(q - service, 0) + arrivals along the last axis.
+def _lindley_buffer(q0, arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
+    """Backlogs of q' = max(q - service, 0) + arrivals along the last axis,
+    as one buffer of n + 1 columns: column t holds the backlog before slot t
+    and column n the one after the last slot.
 
-    Returns the backlog at the start of every slot and, as int64, after the
-    last one.  Both come from one buffer of n + 1 columns, column t holding
-    the backlog before slot t and column n the one after the block.  With
-    S_0 = 0 and S_t the sum of arrivals - service over slots 0..t-1, the
-    backlog before slot t is S_t + max(q0, max_{k<t}(arrivals_k - S_{k+1})):
+    With S_0 = 0 and S_t the sum of arrivals - service over slots 0..t-1,
+    the backlog before slot t is S_t + max(q0, max_{k<t}(arrivals_k - S_{k+1})):
     the buffer takes q0 and the terms arrivals_k - S_{k+1}, is scanned by
     maximum.accumulate and adds S in place.  |S_t| <= n and each term lies
     in [-n, n + 1], so every value the scan holds lies within
@@ -442,7 +473,97 @@ def _lindley(q0, arrivals: np.ndarray, service: np.ndarray):
     np.subtract(arrivals.view(np.int8), total[..., 1:], out=q[..., 1:], dtype=dtype)
     np.maximum.accumulate(q, axis=-1, out=q)
     q += total
+    return q
+
+
+def _lindley(q0, arrivals: np.ndarray, service: np.ndarray):
+    """The backlog at the start of every slot and, as int64, after the last
+    one; see _lindley_buffer."""
+    q = _lindley_buffer(q0, arrivals, service)
     return q[..., :-1], q[..., -1].astype(np.int64)
+
+
+def _repair_backlogs(
+    backlog: np.ndarray, arrivals: np.ndarray, served: np.ndarray, starts: np.ndarray
+) -> bool:
+    """Rescan a primary backlog buffer in place after served has only grown.
+
+    backlog is the (bands, slots + 1) buffer of _lindley_buffer for the old
+    served flags, and starts holds the flat (bands, slots) positions, in
+    ascending order, of every busy band-slot whose served flag rose.  Each
+    band is scanned again from each start to the old backlog's next zero, or
+    to the end of its row (the module docstring says why that suffices).
+    Returns False, leaving the buffer as it was, when the starts or the
+    rescanned slots are too many for a repair to pay; a full scan then costs
+    less and holds less memory.
+    """
+    if not len(starts):
+        return True
+    size = backlog.size
+    if 32 * len(starts) > size:
+        return False
+    width = backlog.shape[1]
+    flat = backlog.reshape(-1)
+    start = starts + starts // (width - 1)  # the start's column in the flat buffer
+    # the column where each stretch ends, eight columns at a time: a byte
+    # per column, 1 where the backlog is 0 and at each row's last column, is
+    # read as one word from each start's next column, and the start moves on
+    # by the bytes before the word's first 1, or by 8 if it has none
+    idle = np.zeros(size + 8, dtype=bool)
+    np.equal(flat, 0, out=idle[:size])
+    idle[width - 1 : size : width] = True
+    words = np.ndarray(size + 1, dtype="<u8", buffer=idle, strides=(1,))
+    stop = start + 1
+    while True:
+        word = words[stop]
+        # the bits up to the lowest set one (numpy >= 2.0): 8 j + 1 of them
+        # for byte j, 64 for none
+        step = np.bitwise_count(word ^ (word - np.uint64(1))) >> 3
+        stop += step
+        if step.max() < 8:
+            break
+    del words, idle
+    # starts that meet the same zero share one stretch: keep the first
+    first = np.ones(len(stop), dtype=bool)
+    np.not_equal(stop[1:], stop[:-1], out=first[1:])
+    start, stop, starts = start[first], stop[first], starts[first]
+    lengths = stop - start  # the slots scanned again from each stretch's start
+    total = int(lengths.sum())
+    if 8 * total > size:
+        return False
+    # each slot of the stretches, one stretch after another, as the buffer
+    # column of the backlog after it and as its (bands, slots) position,
+    # which lies one column and one band's row behind; the temporaries are
+    # freed as soon as they are used, so that a repair holds less than a
+    # full scan
+    begins = np.cumsum(lengths) - lengths
+    after = np.repeat(start + 1 - begins, lengths)
+    after += np.arange(total)
+    slot = after - np.repeat(start + 1 - starts, lengths)
+    gain = arrivals.reshape(-1)[slot].view(np.int8)
+    # cast after the subtraction: a ufunc that casts its inputs holds a
+    # buffer of the wide type for each of them
+    net = (gain - served.reshape(-1)[slot].view(np.int8)).astype(np.int64)
+    del slot
+    # from backlog q0, a stretch reaches G + max(q0 - B, max(gain - G)) after
+    # each of its slots, where G is the running sum of net and B its value
+    # before the stretch.  Every stretch steps G down by more than the span
+    # of the values of all earlier ones, which is below max(q0) + 2 * total,
+    # so one maximum.accumulate restarts at each.
+    q0 = flat[start]
+    lift = int(q0.max()) + 2 * total + 2
+    if lift * len(begins) >= 1 << 62:
+        return False
+    net[begins] -= lift
+    floor = q0 + net[begins]
+    np.cumsum(net, out=net)
+    floor -= net[begins] - lift
+    scan = gain - net
+    scan[begins] = np.maximum(scan[begins], floor)
+    np.maximum.accumulate(scan, out=scan)
+    scan += net
+    flat[after] = scan
+    return True
 
 
 class _Block(NamedTuple):
@@ -467,17 +588,17 @@ class _Block(NamedTuple):
 
 
 def _block_pass(
-    draws: SlotDraws, flip, blocked, qp0, qs0, willing, success_by_width
+    draws: SlotDraws, flip, backlog, served, willing, qs0, success_by_width
 ) -> _Block:
-    """Execute a block given whether the secondary transmits when it can.
+    """Execute a block given the primary backlogs and whether the secondary
+    transmits when it can.
 
-    willing holds, per slot, 1 (DOMINANT) or [q_s > 0 at slot start]
-    (ORIGINAL).  The band sets are bitwise: a band is served unless the
-    secondary both misdetects it and transmits, and an occupied band is
+    backlog is the (bands, slots + 1) buffer of _lindley_buffer for the
+    served flags, and willing holds, per slot, 1 (DOMINANT) or [q_s > 0 at
+    slot start] (ORIGINAL).  The band sets are bitwise: an occupied band is
     declared idle as sense_if_busy says, an empty one as sense_if_idle says.
     """
-    served = draws.pu_channel_ok ^ (blocked & willing)
-    qp, qp_end = _lindley(qp0, draws.primary_arrivals, served)
+    qp = backlog[:, :-1]
     occupancy = qp > 0
     declared = draws.sense_if_idle ^ (occupancy & flip)
     # counted in the narrowest dtype that holds m, which sums several times faster
@@ -497,7 +618,7 @@ def _block_pass(
         su_success=success,
         su_departure=success & (qs > 0),
         qs=qs,
-        qp_end=qp_end,
+        qp_end=backlog[:, -1].astype(np.int64),
         qs_end=int(qs_end),
     )
 
@@ -505,10 +626,14 @@ def _block_pass(
 def _run_block(draws: SlotDraws, qp0, qs0, dominant: bool, success_by_width) -> _Block:
     """Execute a block: iterate willing <- [q_s > 0] from all ones to its fixed point.
 
-    DOMINANT mode stops after the first pass.  Slot t of a pass depends only
-    on willing before t, so pass k settles the first k slots: an ORIGINAL
-    block of n slots reaches the fixed point within n + 1 passes, and the
-    fixed point is the causal run.
+    A band is served when its primary link succeeds unless the secondary
+    both misdetects it and transmits.  DOMINANT mode stops after the first
+    pass.  Slot t of a pass depends only on willing before t, so pass k
+    settles the first k slots: an ORIGINAL block of n slots reaches the
+    fixed point within n + 1 passes, and the fixed point is the causal run.
+    Each pass after the first repairs the primary backlogs of the one before
+    with _repair_backlogs, or scans every band again when willing rose
+    anywhere or the repair declines (see the module docstring).
     """
     # shared by every pass: where occupancy flips the idle verdict, and the
     # served links that a transmitting secondary blocks
@@ -517,13 +642,24 @@ def _run_block(draws: SlotDraws, qp0, qs0, dominant: bool, success_by_width) -> 
     # an array, not True: numpy broadcasts a bool array with a Python scalar
     # about 20x slower than with another bool array
     willing = np.ones(len(draws.su_uniform), dtype=bool)
+    served = draws.pu_channel_ok ^ blocked
+    backlog = _lindley_buffer(qp0, draws.primary_arrivals, served)
     while True:
-        block = _block_pass(draws, flip, blocked, qp0, qs0, willing, success_by_width)
+        block = _block_pass(draws, flip, backlog, served, willing, qs0, success_by_width)
         if dominant:
             return block
         settled = block.qs > 0
         if np.array_equal(settled, willing):
             return block
+        served = draws.pu_channel_ok ^ (blocked & settled)
+        # the busy band-slots that a newly silent secondary no longer blocks;
+        # none if the secondary speaks up anywhere
+        rose = (settled > willing).any()
+        starts = None if rose else np.flatnonzero(blocked & block.occupancy & (willing > settled))
+        del block  # a pass keeps only the backlogs of the one before
+        if rose or not _repair_backlogs(backlog, draws.primary_arrivals, served, starts):
+            del backlog, starts  # freed before the scan that replaces them
+            backlog = _lindley_buffer(qp0, draws.primary_arrivals, served)
         willing = settled
 
 

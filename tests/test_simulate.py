@@ -90,6 +90,38 @@ def test_sim_config_keeps_numpy_integers_as_python_ints():
     assert run(cfg).to_dict() == run(SimConfig(**fields)).to_dict()
 
 
+@pytest.mark.parametrize(
+    "thresholds, field",
+    [
+        (dict(stable_slope=0.5, unstable_slope=-0.5), "stable_slope"),
+        (dict(stable_slope=math.nan, unstable_slope=math.nan), "unstable_slope"),
+        (dict(stable_slope="x"), "stable_slope"),
+        (dict(unstable_slope=True), "unstable_slope"),
+        (dict(unstable_slope=math.inf), "unstable_slope"),
+        (dict(stable_slope=-math.inf), "stable_slope"),
+    ],
+)
+def test_sim_config_refuses_slope_thresholds_that_cannot_call_a_verdict(thresholds, field):
+    # each of these used to simulate and then call a wrong verdict, or raise
+    # a TypeError only after the whole horizon
+    fields = dict(scenario=reference_scenario(), mode=Mode.DOMINANT, slots=5000, seed=1)
+    with pytest.raises(ValueError, match=f"^{field}: must be "):
+        SimConfig(**fields, **thresholds)
+
+
+def test_sim_config_allows_equal_slope_thresholds():
+    # no secondary arrivals: the backlog stays 0, below the one threshold
+    cfg = SimConfig(
+        scenario=reference_scenario(lambda_s=0.0),
+        mode=Mode.DOMINANT,
+        slots=5000,
+        seed=1,
+        unstable_slope=0.002,
+        stable_slope=0.002,
+    )
+    assert run(cfg).stability_verdict_s is Verdict.STABLE
+
+
 def test_identical_seed_gives_identical_report():
     cfg = SimConfig(scenario=small_scenario(), mode=Mode.ORIGINAL, slots=20_000, seed=99)
     assert run(cfg).to_dict() == run(cfg).to_dict()
@@ -626,6 +658,78 @@ def test_run_equals_step_reference_through_deep_fixed_points(monkeypatch):
     monkeypatch.setattr(simulate, "_block_pass", counting_pass)
     assert_same_report(run(cfg), reference_run(cfg))
     assert max(Counter(map(id, passes)).values()) >= 8
+
+
+def count_kernel_work(monkeypatch) -> Counter:
+    """Count the block passes, the full primary scans, the repairs tried and
+    the repairs that held, from here on."""
+    counts = Counter()
+    scan, repair, block_pass = (
+        simulate._lindley_buffer,
+        simulate._repair_backlogs,
+        simulate._block_pass,
+    )
+
+    def counting_scan(q0, arrivals, service):
+        counts["scans"] += arrivals.ndim == 2  # the secondary's scan is one row
+        return scan(q0, arrivals, service)
+
+    def counting_repair(*args):
+        held = repair(*args)
+        counts["tried"] += 1
+        counts["repairs"] += held
+        return held
+
+    def counting_pass(*args):
+        counts["passes"] += 1
+        return block_pass(*args)
+
+    monkeypatch.setattr(simulate, "_lindley_buffer", counting_scan)
+    monkeypatch.setattr(simulate, "_repair_backlogs", counting_repair)
+    monkeypatch.setattr(simulate, "_block_pass", counting_pass)
+    return counts
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_later_passes_repair_instead_of_scanning(monkeypatch, mode):
+    # one full primary scan per block; every later ORIGINAL pass repairs it,
+    # and DOMINANT mode stops after its one pass
+    blocks = 3
+    scenario = reference_scenario(lambda_s=0.3)
+    cfg = SimConfig(scenario=scenario, mode=mode, slots=blocks * simulate._block_slots(13), seed=1)
+    counts = count_kernel_work(monkeypatch)
+    run(cfg)
+    assert counts["scans"] == blocks
+    assert counts["repairs"] == counts["passes"] - blocks
+    assert counts["passes"] > blocks if mode is Mode.ORIGINAL else counts["passes"] == blocks
+
+
+def falling_success_config(slots: int) -> SimConfig:
+    """An ORIGINAL run whose s(n) falls with the width, so that silencing the
+    secondary can widen its aggregate, lower its success and raise willing."""
+    scenario = ScenarioConfig(
+        channel=make_channel(m_bands=5, k_antennas=2),
+        sensing=SensingParams(p_fa=0.5, p_md=0.3),
+        traffic=TrafficParams(lambda_p=0.3, lambda_s=0.05),
+    )
+    cfg = SimConfig(scenario=scenario, mode=Mode.ORIGINAL, slots=slots, seed=4)
+    object.__setattr__(cfg, "_success_table", (0.0, 0.95, 0.6, 0.3, 0.1, 0.02))
+    return cfg
+
+
+@pytest.mark.parametrize("block, slots", [(1, 700), (7, 700), (None, 2 * REAL_BLOCK_SLOTS(5) + 100)])
+def test_run_equals_step_reference_when_willing_rises(monkeypatch, block, slots):
+    # where willing rises a pass scans every band again without trying a
+    # repair; a block of one slot settles in its second pass, before willing
+    # can rise
+    cfg = falling_success_config(slots)
+    monkeypatch.setattr(simulate, "_block_slots", REAL_BLOCK_SLOTS if block is None else lambda m: block)
+    counts = count_kernel_work(monkeypatch)
+    assert_same_report(run(cfg), reference_run(cfg))
+    blocks = -(-slots // (block or REAL_BLOCK_SLOTS(5)))
+    guarded = counts["passes"] - blocks - counts["tried"]
+    assert guarded > 0 if block != 1 else guarded == 0
+    assert counts["scans"] == blocks + guarded + counts["tried"] - counts["repairs"]
 
 
 @pytest.mark.parametrize("m_bands, slots", [(40, 3_500), (13, 5_100), (1, 65_600)])
