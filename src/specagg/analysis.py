@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .channel import ChannelParams, pu_success_prob, su_success_prob, su_success_table
+from .channel import ChannelParams, _real, pu_success_prob, su_success_prob, su_success_table
 from .sensing import SensingParams
 
 __all__ = [
@@ -59,9 +59,9 @@ class TrafficParams:
     lambda_s: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.lambda_p <= 1.0:
+        if not 0.0 <= _real("lambda_p", self.lambda_p) <= 1.0:
             raise ValueError(f"lambda_p: must be in [0, 1], got {self.lambda_p}")
-        if not 0.0 <= self.lambda_s <= 1.0:
+        if not 0.0 <= _real("lambda_s", self.lambda_s) <= 1.0:
             raise ValueError(f"lambda_s: must be in [0, 1], got {self.lambda_s}")
 
 

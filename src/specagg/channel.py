@@ -38,6 +38,18 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _real(name: str, value):
+    """value itself; NaN passes on, for the caller's range check to refuse.
+
+    A bool, or anything that is not a real number, is a ValueError naming name.
+    """
+    # int and float come first: the numbers.Real check alone costs about
+    # 0.5 us, and the optimizer and the stability grid build classes in loops
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise ValueError(f"{name}: must be a real number, got {value!r}")
+    return value
+
+
 class PowerMode(Enum):
     """How the secondary spends transmit power over the aggregated bandwidth.
 
@@ -72,15 +84,15 @@ class ChannelParams:
         if (self.snr_p is None) == (self.p_bar_p is None):
             raise ValueError("exactly one of snr_p / p_bar_p must be supplied")
         # Written as "not <in range>" so that NaN fails every check.
-        if self.snr_p is not None and not self.snr_p > 0:
+        if self.snr_p is not None and not _real("snr_p", self.snr_p) > 0:
             raise ValueError(f"snr_p: must be > 0, got {self.snr_p}")
-        if self.p_bar_p is not None and not 0.0 <= self.p_bar_p <= 1.0:
+        if self.p_bar_p is not None and not 0.0 <= _real("p_bar_p", self.p_bar_p) <= 1.0:
             raise ValueError(f"p_bar_p: must be in [0, 1], got {self.p_bar_p}")
-        if not self.snr_s > 0:
+        if not _real("snr_s", self.snr_s) > 0:
             raise ValueError(f"snr_s: must be > 0, got {self.snr_s}")
-        if not self.spectral_eff_r > 0:
+        if not _real("spectral_eff_r", self.spectral_eff_r) > 0:
             raise ValueError(f"spectral_eff_r: must be > 0, got {self.spectral_eff_r}")
-        if not 0.0 <= self.tau_b_frac <= 1.0:
+        if not 0.0 <= _real("tau_b_frac", self.tau_b_frac) <= 1.0:
             raise ValueError(f"tau_b_frac: must be in [0, 1], got {self.tau_b_frac}")
         for name in ("m_bands", "k_antennas"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
@@ -88,6 +100,9 @@ class ChannelParams:
             raise ValueError(f"m_bands: must be >= 1, got {self.m_bands}")
         if not self.k_antennas >= 1:
             raise ValueError(f"k_antennas: must be >= 1, got {self.k_antennas}")
+        # su_success_prob tests the mode by identity: the string "LIMITED" would run as PSD
+        if not isinstance(self.power_mode, PowerMode):
+            raise ValueError(f"power_mode: must be a PowerMode, got {self.power_mode!r}")
 
 
 def sensing_fraction(params: ChannelParams) -> float:

@@ -1,5 +1,6 @@
 """Scenario and sweep configuration: containers plus JSON loading.
 
+The scenario keys are the fields of the parameter classes, plus label.
 Only keys and types are checked here.  The parameter classes check every
 value range; load_config reports their ValueError as a ConfigError.
 """
@@ -8,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from .analysis import TrafficParams
@@ -24,21 +26,6 @@ __all__ = [
     "apply_axis",
 ]
 
-SCENARIO_KEYS = {
-    "m_bands",
-    "k_antennas",
-    "tau_b_frac",
-    "spectral_eff_r",
-    "snr_s",
-    "snr_p",
-    "p_bar_p",
-    "p_fa",
-    "p_md",
-    "lambda_p",
-    "lambda_s",
-    "power_mode",
-    "label",
-}
 SWEEP_ONLY_KEYS = {"axis", "values", "with_simulation", "sim_slots", "sim_seed"}
 
 SWEEP_AXES = (
@@ -51,7 +38,15 @@ SWEEP_AXES = (
     "p_fa",
     "p_md",
 )
-_INT_AXES = {"m_bands", "k_antennas"}
+_INTEGER_KEYS = {"m_bands", "k_antennas"}
+
+_PARTS = {"channel": ChannelParams, "sensing": SensingParams, "traffic": TrafficParams}
+# each scenario key, in field order, and the part of ScenarioConfig that owns it
+_OWNER = {field.name: part for part, cls in _PARTS.items() for field in fields(cls)}
+_REQUIRED = {
+    field.name for cls in _PARTS.values() for field in fields(cls) if field.default is MISSING
+}
+SCENARIO_KEYS = {*_OWNER, "label"}
 
 
 class ConfigError(Exception):
@@ -81,8 +76,8 @@ class SweepSpec:
 
 
 def _number(key: str, value) -> float:
-    """A JSON number as a finite float (json also reads NaN, Infinity and huge ints)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A real number as a finite float (json also reads NaN, Infinity and huge ints)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
     try:
         number = float(value)
@@ -93,16 +88,27 @@ def _number(key: str, value) -> float:
     return number
 
 
-def _integer(key: str, value, expected: str = "expected an integer") -> int:
+def _integer(key: str, value) -> int:
     if not _number(key, value).is_integer():
-        raise ConfigError(f"{key}: {expected}, got {value!r}")
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
     return int(value)
 
 
-def _require(raw: dict, key: str, parse=_number):
+def _require(raw: dict, key: str, parse):
     if key not in raw:
         raise ConfigError(f"{key}: missing required key")
     return parse(key, raw[key])
+
+
+def _parse(key: str, value):
+    """A scenario value as its class takes it: a PowerMode, an int or a finite float."""
+    if key == "power_mode":
+        if not isinstance(value, str) or value.upper() not in PowerMode.__members__:
+            raise ConfigError(f"power_mode: expected 'PSD' or 'LIMITED', got {value!r}")
+        return PowerMode[value.upper()]
+    if key in _INTEGER_KEYS:
+        return _integer(key, value)
+    return _number(key, value)
 
 
 def scenario_from_mapping(raw: dict) -> ScenarioConfig:
@@ -110,42 +116,23 @@ def scenario_from_mapping(raw: dict) -> ScenarioConfig:
     unknown = set(raw) - SCENARIO_KEYS
     if unknown:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r}")
-
-    if ("snr_p" in raw) == ("p_bar_p" in raw):
-        raise ConfigError("exactly one of snr_p / p_bar_p must be present")
-    snr_p = _require(raw, "snr_p") if "snr_p" in raw else None
-    p_bar_p = _require(raw, "p_bar_p") if "p_bar_p" in raw else None
-
-    mode_raw = raw.get("power_mode", "PSD")
-    if not isinstance(mode_raw, str) or mode_raw.upper() not in ("PSD", "LIMITED"):
-        raise ConfigError(f"power_mode: expected 'PSD' or 'LIMITED', got {mode_raw!r}")
-
     label = raw.get("label")
     if label is not None and not isinstance(label, str):
         raise ConfigError(f"label: expected a string, got {label!r}")
-
-    channel = ChannelParams(
-        snr_s=_require(raw, "snr_s"),
-        spectral_eff_r=_require(raw, "spectral_eff_r"),
-        tau_b_frac=_require(raw, "tau_b_frac"),
-        m_bands=_require(raw, "m_bands", _integer),
-        k_antennas=_require(raw, "k_antennas", _integer),
-        snr_p=snr_p,
-        p_bar_p=p_bar_p,
-        power_mode=PowerMode[mode_raw.upper()],
+    kwargs = {part: {} for part in _PARTS}
+    for key, part in _OWNER.items():
+        if key in raw or key in _REQUIRED:
+            kwargs[part][key] = _require(raw, key, _parse)
+    return ScenarioConfig(
+        **{part: cls(**kwargs[part]) for part, cls in _PARTS.items()}, label=label
     )
-    sensing = SensingParams(p_fa=_require(raw, "p_fa"), p_md=_require(raw, "p_md"))
-    traffic = TrafficParams(
-        lambda_p=_require(raw, "lambda_p"), lambda_s=_require(raw, "lambda_s")
-    )
-    return ScenarioConfig(channel=channel, sensing=sensing, traffic=traffic, label=label)
 
 
 def sweep_from_mapping(raw: dict) -> SweepSpec:
     """Build a SweepSpec from a flat key/value mapping.
 
-    Values on an integer axis are stored as int.  Each value is applied to
-    the base scenario once here, so one out of range fails at load.
+    Each value is applied to the base scenario once here, so one out of
+    range fails at load, and stored as apply_axis stores it.
     """
     unknown = set(raw) - SCENARIO_KEYS - SWEEP_ONLY_KEYS
     if unknown:
@@ -157,13 +144,6 @@ def sweep_from_mapping(raw: dict) -> SweepSpec:
     values_raw = raw.get("values")
     if not isinstance(values_raw, list) or not values_raw:
         raise ConfigError("values: expected a non-empty list of numbers")
-    if axis in _INT_AXES:
-        values = [
-            _integer(f"values[{i}]", v, f"axis {axis} needs integers")
-            for i, v in enumerate(values_raw)
-        ]
-    else:
-        values = [_number(f"values[{i}]", v) for i, v in enumerate(values_raw)]
 
     with_simulation = raw.get("with_simulation", False)
     if not isinstance(with_simulation, bool):
@@ -181,14 +161,14 @@ def sweep_from_mapping(raw: dict) -> SweepSpec:
     elif "sim_slots" in raw or "sim_seed" in raw:
         raise ConfigError("sim_slots/sim_seed only apply with with_simulation=true")
 
-    base = scenario_from_mapping(
-        {k: v for k, v in raw.items() if k in SCENARIO_KEYS}
-    )
-    for i, value in enumerate(values):
+    base = scenario_from_mapping({k: v for k, v in raw.items() if k not in SWEEP_ONLY_KEYS})
+    values = []
+    for i, value in enumerate(values_raw):
         try:
-            apply_axis(base, axis, value)
-        except ValueError as exc:
+            scenario = apply_axis(base, axis, value)
+        except (ConfigError, ValueError) as exc:
             raise ConfigError(f"values[{i}]: {exc}") from exc
+        values.append(getattr(getattr(scenario, _OWNER[axis]), axis))
     return SweepSpec(
         base=base,
         axis=axis,
@@ -225,13 +205,13 @@ def load_config(path: str | Path) -> ScenarioConfig | SweepSpec:
 
 
 def apply_axis(scenario: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
-    """Return a copy of the scenario with one swept field replaced."""
+    """Return a copy of the scenario with one swept field replaced.
+
+    The value is parsed as the loader parses it, so an integer axis stores
+    an int and any other axis a float.
+    """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"axis: expected one of {SWEEP_AXES}, got {axis!r}")
-    if axis in _INT_AXES:
-        value = _integer(axis, value)
-    if axis in ("p_fa", "p_md"):
-        return replace(scenario, sensing=replace(scenario.sensing, **{axis: value}))
-    if axis in ("lambda_p", "lambda_s"):
-        return replace(scenario, traffic=replace(scenario.traffic, **{axis: value}))
-    return replace(scenario, channel=replace(scenario.channel, **{axis: value}))
+    part = _OWNER[axis]
+    swept = replace(getattr(scenario, part), **{axis: _parse(axis, value)})
+    return replace(scenario, **{part: swept})

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .channel import _real
+
 __all__ = ["SensingParams"]
 
 
@@ -19,7 +21,7 @@ class SensingParams:
     p_md: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p_fa <= 1.0:
+        if not 0.0 <= _real("p_fa", self.p_fa) <= 1.0:
             raise ValueError(f"p_fa: must be in [0, 1], got {self.p_fa}")
-        if not 0.0 <= self.p_md <= 1.0:
+        if not 0.0 <= _real("p_md", self.p_md) <= 1.0:
             raise ValueError(f"p_md: must be in [0, 1], got {self.p_md}")

@@ -87,7 +87,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import _integer, pu_success_prob, su_success_table
+from .channel import _integer, _real, pu_success_prob, su_success_table
 from .config import ScenarioConfig
 
 __all__ = [
@@ -152,11 +152,9 @@ class SimConfig:
                 f"warmup: must be in [0, slots={self.slots}), got {self.warmup}"
             )
         for name in ("unstable_slope", "stable_slope"):
-            value = getattr(self, name)
-            finite = isinstance(value, numbers.Integral) or (
-                isinstance(value, numbers.Real) and math.isfinite(value)
-            )
-            if isinstance(value, bool) or not finite:
+            value = _real(name, getattr(self, name))
+            # an int is finite however large, though math.isfinite overflows on it
+            if not isinstance(value, numbers.Integral) and not math.isfinite(value):
                 raise ValueError(f"{name}: must be a finite number, got {value!r}")
         if self.stable_slope > self.unstable_slope:
             raise ValueError(

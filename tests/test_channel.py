@@ -1,5 +1,6 @@
 import decimal
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from specagg import (
     su_success_table,
 )
 
-from conftest import make_channel, reference_scenario
+from conftest import error_free_scenario, make_channel, reference_scenario
 
 
 def test_sensing_fraction_examples():
@@ -87,6 +88,56 @@ def test_numpy_integer_counts_are_kept_as_python_ints(field):
     channel = make_channel(**{field: np.int64(13)})
     assert getattr(channel, field) == 13 and type(getattr(channel, field)) is int
     assert channel == make_channel(**{field: 13})
+
+
+REAL_FIELDS = ("snr_s", "spectral_eff_r", "tau_b_frac", "snr_p", "p_bar_p",
+               "p_fa", "p_md", "lambda_p", "lambda_s")  # fmt: skip
+
+
+def with_field(field, value):
+    """The reference part that owns field (ChannelParams, SensingParams or
+    TrafficParams), rebuilt with field set to value."""
+    scenario = error_free_scenario() if field == "snr_p" else reference_scenario()
+    for part in (scenario.channel, scenario.sensing, scenario.traffic):
+        if field in {f.name for f in fields(part)}:
+            return replace(part, **{field: value})
+    raise AssertionError(field)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (field, value)
+        for field in REAL_FIELDS
+        for value in [True, np.True_, "2", None, [0.5], decimal.Decimal("0.5")]
+        # None leaves snr_p or p_bar_p unset: exactly one of them must be set
+        if not (value is None and field in ("snr_p", "p_bar_p"))
+    ],
+)
+def test_every_real_field_refuses_a_non_number_by_name(field, value):
+    with pytest.raises(ValueError) as info:
+        with_field(field, value)
+    assert str(info.value) == f"{field}: must be a real number, got {value!r}"
+
+
+@pytest.mark.parametrize("field", REAL_FIELDS)
+@pytest.mark.parametrize("value", [np.int64(1), np.float32(0.5), np.float64(0.5), 1])
+def test_every_real_field_keeps_a_real_number_as_given(field, value):
+    kept = getattr(with_field(field, value), field)
+    assert kept == value and type(kept) is type(value)
+
+
+@pytest.mark.parametrize("field", REAL_FIELDS)
+def test_a_nan_real_field_gets_its_range_message(field):
+    with pytest.raises(ValueError, match=rf"^{field}: must be (> 0|in \[0, 1\]), got nan$"):
+        with_field(field, math.nan)
+
+
+@pytest.mark.parametrize("mode", ["LIMITED", "PSD", None, 1])
+def test_power_mode_must_be_a_power_mode(mode):
+    with pytest.raises(ValueError) as info:
+        make_channel(power_mode=mode)
+    assert str(info.value) == f"power_mode: must be a PowerMode, got {mode!r}"
 
 
 @pytest.mark.parametrize("snr_p", [0.0, -1.0, math.nan])

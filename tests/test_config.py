@@ -1,17 +1,25 @@
 import json
 import math
+from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from specagg import (
+    ChannelParams,
     ConfigError,
     PowerMode,
     ScenarioConfig,
+    SensingParams,
     SweepSpec,
+    TrafficParams,
     apply_axis,
     load_config,
     sensing_fraction,
 )
+from specagg.config import _INTEGER_KEYS, SWEEP_AXES, scenario_from_mapping
 
 REFERENCE = {
     "m_bands": 13,
@@ -243,3 +251,125 @@ def test_apply_axis_rejects_a_non_integral_count(tmp_path, axis, value, needle):
     with pytest.raises(ConfigError) as info:
         apply_axis(base, axis, value)
     assert needle in str(info.value)
+
+
+def test_sweep_axes_and_integer_keys_are_fields_of_exactly_one_class():
+    """The schema is derived from the classes, so a renamed field fails here
+    and not in a user's sweep."""
+    classes = (ChannelParams, SensingParams, TrafficParams)
+    for key in (*SWEEP_AXES, *_INTEGER_KEYS):
+        owners = [cls for cls in classes if key in {field.name for field in fields(cls)}]
+        assert len(owners) == 1, (key, owners)
+
+
+def swept(scenario, axis):
+    """The value of axis as the scenario stores it."""
+    parts = (scenario.channel, scenario.sensing, scenario.traffic)
+    return next(getattr(part, axis) for part in parts if hasattr(part, axis))
+
+
+@pytest.mark.parametrize("axis", ["m_bands", "k_antennas"])
+def test_apply_axis_takes_a_numpy_integer_count(axis):
+    scenario = apply_axis(scenario_from_mapping(REFERENCE), axis, np.int64(5))
+    assert swept(scenario, axis) == 5 and type(swept(scenario, axis)) is int
+
+
+@pytest.mark.parametrize(
+    "axis, value, message",
+    [
+        ("lambda_p", True, "lambda_p: expected a number, got True"),
+        ("p_fa", "0.1", "p_fa: expected a number, got '0.1'"),
+        ("p_md", None, "p_md: expected a number, got None"),
+        ("tau_b_frac", math.nan, "tau_b_frac: expected a finite number, got nan"),
+    ],
+)
+def test_apply_axis_parses_a_real_axis_as_the_loader_does(axis, value, message):
+    with pytest.raises(ConfigError) as info:
+        apply_axis(scenario_from_mapping(REFERENCE), axis, value)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("axis", [a for a in SWEEP_AXES if a not in _INTEGER_KEYS])
+@pytest.mark.parametrize("value", [1, np.int64(1), np.float32(0.25), np.float64(0.25)])
+def test_apply_axis_stores_a_real_axis_as_a_float(axis, value):
+    scenario = apply_axis(scenario_from_mapping(REFERENCE), axis, value)
+    assert swept(scenario, axis) == float(value) and type(swept(scenario, axis)) is float
+
+
+REAL_KEYS = ("snr_s", "spectral_eff_r", "tau_b_frac", "snr_p", "p_bar_p",
+             "p_fa", "p_md", "lambda_p", "lambda_s")  # fmt: skip
+
+
+@pytest.mark.parametrize("key", REAL_KEYS)
+@pytest.mark.parametrize("number", [np.int64(1), np.float32(0.25), np.float64(0.25)])
+def test_the_loader_takes_numpy_scalars_for_every_real_key(key, number):
+    raw = dict(REFERENCE)
+    if key == "snr_p":
+        del raw["p_bar_p"]
+    loaded = scenario_from_mapping(raw | {key: number})
+    assert repr(loaded) == repr(scenario_from_mapping(raw | {key: float(number)}))
+
+
+COUNT = st.integers(1, 64).flatmap(lambda n: st.sampled_from([n, float(n)]))
+UNIT = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1]))
+POSITIVE = st.one_of(st.floats(1e-3, 1e3), st.integers(1, 1000))
+AXIS_VALUES = {"m_bands": COUNT, "k_antennas": COUNT, "spectral_eff_r": POSITIVE}
+MIXED_CASE = st.sampled_from(["PSD", "LIMITED"]).flatmap(
+    lambda word: st.tuples(*(st.sampled_from([c.lower(), c.upper()]) for c in word)).map(
+        "".join
+    )
+)
+ROUND_TRIP = settings(
+    derandomize=True,
+    deadline=None,
+    database=None,
+    max_examples=60,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@st.composite
+def scenario_files(draw):
+    """A valid scenario mapping and the ScenarioConfig built from it directly."""
+    raw = {key: draw(UNIT) for key in ("tau_b_frac", "p_fa", "p_md", "lambda_p", "lambda_s")}
+    raw |= {key: draw(COUNT) for key in ("m_bands", "k_antennas")}
+    raw |= {key: draw(POSITIVE) for key in ("snr_s", "spectral_eff_r")}
+    primary = draw(st.sampled_from(["snr_p", "p_bar_p"]))
+    raw[primary] = draw(POSITIVE if primary == "snr_p" else UNIT)
+    if draw(st.booleans()):
+        raw["power_mode"] = draw(MIXED_CASE)
+    if draw(st.booleans()):
+        raw["label"] = draw(st.text(max_size=8))
+    number = {key: float(value) for key, value in raw.items() if key in REAL_KEYS}
+    expected = ScenarioConfig(
+        channel=ChannelParams(
+            snr_s=number["snr_s"],
+            spectral_eff_r=number["spectral_eff_r"],
+            tau_b_frac=number["tau_b_frac"],
+            m_bands=int(raw["m_bands"]),
+            k_antennas=int(raw["k_antennas"]),
+            power_mode=PowerMode[raw.get("power_mode", "PSD").upper()],
+            **{primary: number[primary]},
+        ),
+        sensing=SensingParams(p_fa=number["p_fa"], p_md=number["p_md"]),
+        traffic=TrafficParams(lambda_p=number["lambda_p"], lambda_s=number["lambda_s"]),
+        label=raw.get("label"),
+    )
+    return raw, expected
+
+
+@ROUND_TRIP
+@given(case=scenario_files())
+def test_a_valid_scenario_file_loads_as_the_classes_built_directly(tmp_path, case):
+    raw, expected = case
+    assert repr(load_config(write(tmp_path, raw))) == repr(expected)
+
+
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+@settings(ROUND_TRIP, max_examples=10)
+@given(data=st.data())
+def test_sweep_values_are_stored_as_apply_axis_stores_them(tmp_path, axis, data):
+    values = data.draw(st.lists(AXIS_VALUES.get(axis, UNIT), min_size=1, max_size=4))
+    spec = load_config(write(tmp_path, {**REFERENCE, "axis": axis, "values": values}))
+    stored = [swept(apply_axis(spec.base, axis, value), axis) for value in values]
+    assert [(type(v), v) for v in spec.values] == [(type(v), v) for v in stored]
