@@ -13,21 +13,25 @@ run() executes blocks of slots as (bands, slots) arrays.  Let z_t say
 whether the secondary transmits in slot t when it declares some band idle.
 Given z, band b is served when its primary link succeeds and the secondary
 did not both misdetect it and transmit, so every primary queue follows its
-own Lindley recursion q_{t+1} = max(q_t - s_t, 0) + a_t: one cumsum and one
-maximum.accumulate per block in one buffer of slots + 1 columns, the
-backlog before every slot and after the last, in int32 while the block's
-backlogs are sure to fit and in int64 otherwise.  Occupancy, the
-declared-idle set, the aggregate width, collisions and secondary successes
-follow from the queues by bitwise operations on boolean arrays, with counts
-summed in the narrowest unsigned dtype that holds them, and the secondary
-backlog is a second Lindley recursion served by those successes.  Every
-block starts from z = 1, an array of ones, and what does not depend on z is
-computed once per block.  DOMINANT mode has z = 1 and stops after that
-pass.  ORIGINAL mode has z_t = [q_s > 0 at the start of slot t], which the
-block itself determines, so it repeats the pass with z taken from the
-previous one until z stops changing.  Slot t of a pass depends only on z
-before t, so pass k settles the first k slots: a block of n slots reaches
-the fixed point within n + 1 passes, and that fixed point is the causal run.
+own Lindley recursion q_{t+1} = max(q_t - s_t, 0) + a_t.  Its arrival and
+served bits are packed eight slots to a byte, each byte looks up its path
+through those slots in one 65,536 x 8 byte table (512 KB, built on first
+use), and one cumsum and one maximum.accumulate over the bytes give the
+backlog before each byte, which the table expands into a buffer that run()
+owns with the scan's temporary: the backlog before every slot and after the
+last, in int32 while the block's backlogs are sure to fit and in int64
+otherwise.  Occupancy, the declared-idle set, the aggregate width,
+collisions and secondary successes follow from the queues by bitwise
+operations on boolean arrays, with counts summed in the narrowest unsigned
+dtype that holds them, and the secondary backlog is a second Lindley
+recursion served by those successes.  Every block starts from z = 1, an
+array of ones, and what does not depend on z is computed once per block.
+DOMINANT mode has z = 1 and stops after that pass.  ORIGINAL mode has z_t =
+[q_s > 0 at the start of slot t], which the block itself determines, so it
+repeats the pass with z taken from the previous one until z stops changing.
+Slot t of a pass depends only on z before t, so pass k settles the first k
+slots: a block of n slots reaches the fixed point within n + 1 passes, and
+that fixed point is the causal run.
 
 Only the first pass scans every primary queue; each later ORIGINAL pass
 repairs the backlogs of the one before in place.  From z = 1, z can only
@@ -79,6 +83,7 @@ from __future__ import annotations
 import math
 import numbers
 from contextlib import nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
@@ -435,10 +440,32 @@ _BLOCK_ELEMENTS = 1 << 16
 _MIN_BLOCK_SLOTS = 256
 # _lindley scans in int32 while max(q0) + 2 * slots stays below this.
 _NARROW_LIMIT = np.iinfo(np.int32).max
+# the primary scan's buffer per dtype, owned by the run() in progress
+_RUN_SCANS: ContextVar[dict] = ContextVar("_RUN_SCANS")
 
 
 def _block_slots(m: int) -> int:
     return max(_MIN_BLOCK_SLOTS, _BLOCK_ELEMENTS // m)
+
+
+@lru_cache(maxsize=1)
+def _byte_paths() -> np.ndarray:
+    """Word a | s << 8 holds, for arrival bits a and served bits s of eight
+    slots (slot i in bit i), byte i = (L + 8) | W << 4: L is the net change
+    over slots 0..i-1 and W their floor, so a backlog r before slot 0 is
+    L + max(r, W) before slot i, with L in [-7, 7] and W in [0, 7].  Built
+    on first use: 512 KB."""
+    gained = np.tile(np.arange(256, dtype=np.uint8), 256)  # a, the index's low byte
+    lost = np.repeat(np.arange(256, dtype=np.uint8), 256)
+    table = np.empty((1 << 16, 8), dtype=np.uint8)
+    level, floor = np.zeros((2, 1 << 16), dtype=np.int8)
+    for i in range(8):
+        table[:, i] = (level + 8) | (floor << 4)
+        loss = ((lost >> i) & 1).view(np.int8)
+        np.maximum(floor, loss - level, out=floor)
+        level += ((gained >> i) & 1).view(np.int8) - loss
+    table.flags.writeable = False
+    return table.view(np.uint64).reshape(-1)
 
 
 def _lindley_buffer(q0, arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
@@ -446,31 +473,50 @@ def _lindley_buffer(q0, arrivals: np.ndarray, service: np.ndarray) -> np.ndarray
     as one buffer of n + 1 columns: column t holds the backlog before slot t
     and column n the one after the last slot.
 
-    With S_0 = 0 and S_t the sum of arrivals - service over slots 0..t-1,
-    the backlog before slot t is S_t + max(q0, max_{k<t}(arrivals_k - S_{k+1})):
-    the buffer takes q0 and the terms arrivals_k - S_{k+1}, is scanned by
-    maximum.accumulate and adds S in place.  |S_t| <= n and each term lies
-    in [-n, n + 1], so every value the scan holds lies within
-    max(q0) + 2n + 1 of zero: it runs in int32 whenever that fits below
-    _NARROW_LIMIT and in int64 otherwise.
+    Byte j of eight slots takes a backlog r to max(r, w_j) + l_j: l_j is its
+    arrivals less its served slots, w_j its path's floor (_byte_paths).
+    With T_j the sum of l before byte j, the backlog is r_j = T_j + max(q0,
+    max_{k<j}(w_k - T_k)) before it and L(i) + max(r_j, W(i)) before its
+    slot i.  |T_j| <= n and each term lies in [-n, n + 1], so every value
+    the scan holds lies within max(q0) + 2n + 1 of zero: it runs in int32
+    whenever that fits below _NARROW_LIMIT and in int64 otherwise.
     """
     q0 = np.asarray(q0)
     n = arrivals.shape[-1]
     dtype = np.int32 if int(q0.max()) + 2 * n < _NARROW_LIMIT else np.int64
-    shape = arrivals.shape[:-1] + (n + 1,)
-    total = np.empty(shape, dtype=dtype)
-    total[..., 0] = 0
-    np.cumsum(
-        np.subtract(arrivals.view(np.int8), service.view(np.int8)),
-        axis=-1,
-        dtype=dtype,
-        out=total[..., 1:],
-    )
-    q = np.empty(shape, dtype=dtype)
-    q[..., 0] = q0
-    np.subtract(arrivals.view(np.int8), total[..., 1:], out=q[..., 1:], dtype=dtype)
-    np.maximum.accumulate(q, axis=-1, out=q)
-    q += total
+    full = n // 8  # the bytes of eight slots
+    shape = arrivals.shape[:-1] + (full + 1,)  # and the byte that holds column n
+    gained = np.packbits(arrivals, axis=-1, bitorder="little")
+    lost = np.packbits(service, axis=-1, bitorder="little")
+    code = np.zeros(shape, dtype=np.uint16)
+    code[..., : lost.shape[-1]] = lost.astype(np.uint16) << 8 | gained
+    path = _byte_paths().take(code).view(np.uint8)
+    # from the path before slot 7: w = max(W(7), s_7 - L(7)), since the last
+    # slot can still empty the queue, and l = L(7) + a_7 - s_7
+    last = path[..., 7 : 8 * full : 8]
+    drop = (lost[..., :full] >> 7).view(np.int8) + 8 - (last & 15).view(np.int8)
+    floor = np.maximum((last >> 4).view(np.int8), drop)
+    net = (gained[..., :full] >> 7).view(np.int8) - drop
+    total = np.zeros(shape, dtype=dtype)
+    np.cumsum(net, axis=-1, dtype=dtype, out=total[..., 1:])
+    start = np.empty(shape, dtype=dtype)
+    start[..., 0] = q0
+    np.subtract(floor, total[..., :-1], out=start[..., 1:], dtype=dtype)
+    np.maximum.accumulate(start, axis=-1, out=start)
+    start += total
+    # the output and a temporary of eight columns per byte, from one buffer
+    # that the run() in progress owns for a primary scan, else a fresh one
+    sizes = math.prod(shape[:-1]) * (n + 1), math.prod(shape) * 8
+    owned = _RUN_SCANS.get({}) if len(shape) > 1 else {}
+    if len(owned.get(dtype, ())) < sum(sizes):
+        owned[dtype] = np.empty(sum(sizes), dtype=dtype)
+    buffer = owned[dtype]
+    q = buffer[: sizes[0]].reshape(shape[:-1] + (n + 1,))
+    spread = buffer[sizes[0] : sum(sizes)].reshape(shape + (8,))
+    np.maximum(start[..., None], (path >> 4).reshape(spread.shape), out=spread)
+    np.bitwise_and(path, 15, out=path)
+    path -= 8  # L, as int8
+    np.add(spread.reshape(path.shape)[..., : n + 1], path[..., : n + 1].view(np.int8), out=q)
     return q
 
 
@@ -918,12 +964,16 @@ def run(cfg: SimConfig, trace_path: str | Path | None = None) -> SimReport:
     tally = _Tally(m, cfg.slots, cfg.warmup)
     trace_lines = _TraceLines()
     qp, qs = np.zeros(m, dtype=np.int64), 0
-    with open(trace_path, "wb") if trace_path is not None else nullcontext() as trace:
-        for first in range(0, cfg.slots, block_slots):
-            draws = streams.draw_block(min(block_slots, cfg.slots - first))
-            block = _run_block(draws, qp, qs, cfg.mode is Mode.DOMINANT, success_by_width)
-            tally.add(first, block, draws)
-            if trace is not None:
-                trace.write(trace_lines(first, block, draws))
-            qp, qs = block.qp_end, block.qs_end
+    scans = _RUN_SCANS.set({})
+    try:
+        with open(trace_path, "wb") if trace_path is not None else nullcontext() as trace:
+            for first in range(0, cfg.slots, block_slots):
+                draws = streams.draw_block(min(block_slots, cfg.slots - first))
+                block = _run_block(draws, qp, qs, cfg.mode is Mode.DOMINANT, success_by_width)
+                tally.add(first, block, draws)
+                if trace is not None:
+                    trace.write(trace_lines(first, block, draws))
+                qp, qs = block.qp_end, block.qs_end
+    finally:
+        _RUN_SCANS.reset(scans)
     return tally.report(cfg, qs)

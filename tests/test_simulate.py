@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -830,6 +834,83 @@ def test_lindley_matches_the_recursion(q0, dtype):
         for b in range(bands):
             want = lindley_reference(q0s[b], arrivals[b], service[b])
             assert (start[b].tolist(), int(end[b])) == want
+
+
+@pytest.mark.parametrize("n", [*range(1, 18), 5_041])
+def test_lindley_matches_the_recursion_at_every_byte_edge(n):
+    # the scan reads eight slots at a time: n covers every n % 8, including
+    # the byte that holds only column n, with random rows and rows of all
+    # arrivals, all service, both and neither, from backlogs up to the
+    # int32/int64 edge
+    rng = np.random.default_rng(n)
+    ones, zeros = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    arrivals = np.array([rng.random(n) < 0.5, rng.random(n) < 0.2, ones, zeros, ones, zeros])
+    service = np.array([rng.random(n) < 0.5, rng.random(n) < 0.8, zeros, ones, ones, zeros])
+    edge = simulate._NARROW_LIMIT - 2 * n  # the smallest backlog scanned in int64
+    for q0, dtype in ((0, np.int32), (edge - 1, np.int32), (edge, np.int64)):
+        q0s = np.array([q0, 5, q0, q0, 1, q0], dtype=np.int64)
+        want = [lindley_reference(*row) for row in zip(q0s, arrivals, service)]
+        start, end = simulate._lindley(q0s, arrivals, service)
+        assert start.dtype == dtype
+        assert [(s.tolist(), int(e)) for s, e in zip(start, end)] == want
+        for b in (0, 2, 3):
+            start, end = simulate._lindley(q0s[b], arrivals[b], service[b])
+            assert start.dtype == dtype and (start.tolist(), int(end)) == want[b]
+
+
+def test_byte_paths_match_the_slot_recursion():
+    # every entry against eight literal slots from each backlog 0..8; W <= 7,
+    # so a larger backlog takes the same path as 8 does
+    paths = simulate._byte_paths().view(np.uint8).reshape(1 << 16, 8).astype(np.int64)
+    level, floor = (paths & 15) - 8, paths >> 4
+    assert level.min() == -7 and level.max() == 7 and floor.min() == 0 and floor.max() == 7
+    code = np.arange(1 << 16)
+    for r in range(9):
+        q = np.full(1 << 16, r)
+        for i in range(8):
+            assert np.array_equal(q, level[:, i] + np.maximum(r, floor[:, i]))
+            q = np.maximum(q - (code >> (8 + i) & 1), 0) + (code >> i & 1)
+
+
+def test_run_owns_its_primary_scans_and_other_callers_get_fresh_ones(monkeypatch):
+    # run() hands every block the same buffer, and only while it runs
+    sc = reference_scenario(lambda_s=0.3)
+    draws = ProtocolStreams(sc, 5).draw_block(300)
+    success = np.asarray(su_success_table(sc.channel))
+    first, second = (simulate._run_block(draws, np.zeros(13), 0, True, success) for _ in range(2))
+    assert not np.shares_memory(first.qp, second.qp)
+    blocks = []
+    run_block = simulate._run_block
+
+    def keeping_block(*args):
+        blocks.append(run_block(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(simulate, "_run_block", keeping_block)
+    run(SimConfig(scenario=sc, mode=Mode.DOMINANT, slots=3 * simulate._block_slots(13), seed=5))
+    assert len(blocks) == 3
+    assert all(np.shares_memory(block.qp, blocks[0].qp) for block in blocks)
+    assert not np.shares_memory(blocks[0].qp, blocks[0].qs)
+    assert simulate._RUN_SCANS.get(None) is None
+
+
+def test_analysis_never_builds_the_byte_table():
+    # the 512 KB table is built on first use, by a simulation only
+    code = (
+        "from specagg import analyze, optimize_sensed_bands, simulate\n"
+        "from conftest import reference_scenario\n"
+        "sc = reference_scenario(lambda_s=0.3)\n"
+        "analyze(sc.channel, sc.sensing, sc.traffic)\n"
+        "optimize_sensed_bands(sc.channel, sc.sensing, sc.traffic)\n"
+        "print(simulate._byte_paths.cache_info().currsize)\n"
+    )
+    src = Path(simulate.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"
 
 
 @pytest.mark.parametrize("m", [1, 8, 63, 64, 65, 130])
