@@ -1,8 +1,9 @@
 """Scenario and sweep configuration: containers plus JSON loading.
 
 The scenario keys are the fields of the parameter classes, plus label.
-Only keys and types are checked here.  The parameter classes check every
-value range; load_config reports their ValueError as a ConfigError.
+Only keys and types are checked here.  The parameter classes, and SimConfig
+for a sweep's sim_slots and sim_seed, check every value range; load_config
+reports their ValueError as a ConfigError.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 from .analysis import TrafficParams
 from .channel import ChannelParams, PowerMode
 from .sensing import SensingParams
+from .simulate import Mode, SimConfig
 
 __all__ = [
     "ConfigError",
@@ -150,18 +152,18 @@ def sweep_from_mapping(raw: dict) -> SweepSpec:
         raise ConfigError(
             f"with_simulation: expected a boolean, got {with_simulation!r}"
         )
+    base = scenario_from_mapping({k: v for k, v in raw.items() if k not in SWEEP_ONLY_KEYS})
     sim_slots = sim_seed = None
     if with_simulation:
         sim_slots = _require(raw, "sim_slots", _integer)
-        if sim_slots < 1:
-            raise ConfigError(f"sim_slots: must be >= 1, got {sim_slots}")
         sim_seed = _require(raw, "sim_seed", _integer)
-        if sim_seed < 0:
-            raise ConfigError(f"sim_seed: must be >= 0, got {sim_seed}")
+        try:
+            SimConfig(scenario=base, mode=Mode.DOMINANT, slots=sim_slots, seed=sim_seed)
+        except ValueError as exc:  # its message starts with slots or seed
+            raise ConfigError(f"sim_{exc}") from exc
     elif "sim_slots" in raw or "sim_seed" in raw:
         raise ConfigError("sim_slots/sim_seed only apply with with_simulation=true")
 
-    base = scenario_from_mapping({k: v for k, v in raw.items() if k not in SWEEP_ONLY_KEYS})
     values = []
     for i, value in enumerate(values_raw):
         try:

@@ -17,10 +17,10 @@ own Lindley recursion q_{t+1} = max(q_t - s_t, 0) + a_t.  Its arrival and
 served bits are packed eight slots to a byte, each byte looks up its path
 through those slots in one 65,536 x 8 byte table (512 KB, built on first
 use), and one cumsum and one maximum.accumulate over the bytes give the
-backlog before each byte, which the table expands into a buffer that run()
-owns with the scan's temporary: the backlog before every slot and after the
-last, in int32 while the block's backlogs are sure to fit and in int64
-otherwise.  Occupancy, the declared-idle set, the aggregate width,
+backlog before each byte, which the table expands into a buffer that the
+caller hands in with the scan's temporary: the backlog before every slot and
+after the last, in int32 while the block's backlogs are sure to fit and in
+int64 otherwise.  Occupancy, the declared-idle set, the aggregate width,
 collisions and secondary successes follow from the queues by bitwise
 operations on boolean arrays, with counts summed in the narrowest unsigned
 dtype that holds them, and the secondary backlog is a second Lindley
@@ -64,9 +64,10 @@ Dropping the NULs from the flat matrix leaves the NDJSON lines, which are
 written as bytes.  A run keeps the matrix from block to block while its
 columns keep their widths, so the key text is copied once per layout.
 
-run() keeps the stream, the blocks, the trace and the backlogs handed on;
-a private _Tally adds up every sum the report needs, the secondary's arrivals
-and departures over the whole horizon and the rest over the measured slots.
+run() keeps the stream, the blocks, the trace, the backlogs handed on and
+the buffer of every primary scan of the run, which it passes down; a private
+_Tally adds up every sum the report needs, the secondary's arrivals and
+departures over the whole horizon and the rest over the measured slots.
 
 step() is the literal per-slot reference of the protocol, the way the
 enumeration oracle backs the closed form: the tests check run() against a
@@ -83,17 +84,18 @@ from __future__ import annotations
 import math
 import numbers
 from contextlib import nullcontext
-from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .channel import _integer, _real, pu_success_prob, su_success_table
-from .config import ScenarioConfig
+
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
 
 __all__ = [
     "Mode",
@@ -180,8 +182,7 @@ class QueueState:
     secondary: int
 
 
-@dataclass(frozen=True, slots=True)
-class SlotOutcome:
+class SlotOutcome(NamedTuple):
     """Everything that happened in one slot; band sets are bitmasks."""
 
     slot: int
@@ -256,14 +257,11 @@ def _pack_slot_masks(bits: np.ndarray) -> list[int]:
     Each run of up to 64 bands is summed into one uint64 word per slot;
     wider matrices join their words as Python ints.
     """
-    masks: list[int] | None = None
-    for lo in range(0, bits.shape[0], 64):
+    masks = _band_words(bits[:64]).tolist()
+    for lo in range(64, bits.shape[0], 64):
         words = _band_words(bits[lo : lo + 64]).tolist()
-        if masks is None:
-            masks = words
-        else:
-            masks = [m | (w << lo) for m, w in zip(masks, words)]
-    return masks if masks is not None else []
+        masks = [m | (w << lo) for m, w in zip(masks, words)]
+    return masks
 
 
 class SlotDraws(NamedTuple):
@@ -438,10 +436,8 @@ def step(
 # Slots per block: about _BLOCK_ELEMENTS entries in each (bands, slots) array.
 _BLOCK_ELEMENTS = 1 << 16
 _MIN_BLOCK_SLOTS = 256
-# _lindley scans in int32 while max(q0) + 2 * slots stays below this.
+# _lindley_buffer scans in int32 while max(q0) + 2 * slots stays below this.
 _NARROW_LIMIT = np.iinfo(np.int32).max
-# the primary scan's buffer per dtype, owned by the run() in progress
-_RUN_SCANS: ContextVar[dict] = ContextVar("_RUN_SCANS")
 
 
 def _block_slots(m: int) -> int:
@@ -468,10 +464,14 @@ def _byte_paths() -> np.ndarray:
     return table.view(np.uint64).reshape(-1)
 
 
-def _lindley_buffer(q0, arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
+def _lindley_buffer(q0, arrivals: np.ndarray, service: np.ndarray, scans: dict) -> np.ndarray:
     """Backlogs of q' = max(q - service, 0) + arrivals along the last axis,
     as one buffer of n + 1 columns: column t holds the backlog before slot t
     and column n the one after the last slot.
+
+    The output and the scan's temporary are views of scans[dtype], grown when
+    too small, so an output lives until the next scan with the same dict; a
+    caller that wants fresh arrays passes {}.
 
     Byte j of eight slots takes a backlog r to max(r, w_j) + l_j: l_j is its
     arrivals less its served slots, w_j its path's floor (_byte_paths).
@@ -505,12 +505,10 @@ def _lindley_buffer(q0, arrivals: np.ndarray, service: np.ndarray) -> np.ndarray
     np.maximum.accumulate(start, axis=-1, out=start)
     start += total
     # the output and a temporary of eight columns per byte, from one buffer
-    # that the run() in progress owns for a primary scan, else a fresh one
     sizes = math.prod(shape[:-1]) * (n + 1), math.prod(shape) * 8
-    owned = _RUN_SCANS.get({}) if len(shape) > 1 else {}
-    if len(owned.get(dtype, ())) < sum(sizes):
-        owned[dtype] = np.empty(sum(sizes), dtype=dtype)
-    buffer = owned[dtype]
+    if len(scans.get(dtype, ())) < sum(sizes):
+        scans[dtype] = np.empty(sum(sizes), dtype=dtype)
+    buffer = scans[dtype]
     q = buffer[: sizes[0]].reshape(shape[:-1] + (n + 1,))
     spread = buffer[sizes[0] : sum(sizes)].reshape(shape + (8,))
     np.maximum(start[..., None], (path >> 4).reshape(spread.shape), out=spread)
@@ -518,13 +516,6 @@ def _lindley_buffer(q0, arrivals: np.ndarray, service: np.ndarray) -> np.ndarray
     path -= 8  # L, as int8
     np.add(spread.reshape(path.shape)[..., : n + 1], path[..., : n + 1].view(np.int8), out=q)
     return q
-
-
-def _lindley(q0, arrivals: np.ndarray, service: np.ndarray):
-    """The backlog at the start of every slot and, as int64, after the last
-    one; see _lindley_buffer."""
-    q = _lindley_buffer(q0, arrivals, service)
-    return q[..., :-1], q[..., -1].astype(np.int64)
 
 
 def _repair_backlogs(
@@ -650,7 +641,9 @@ def _block_pass(
     su_tx = willing & (width > 0)
     collision = su_tx & (draws.sense_if_busy & occupancy).any(axis=0)
     success = su_tx & ~collision & (draws.su_uniform < success_by_width.take(width))
-    qs, qs_end = _lindley(qs0, draws.secondary_arrival, success)
+    # a fresh buffer: the secondary's backlogs never share the primaries'
+    secondary = _lindley_buffer(qs0, draws.secondary_arrival, success, {})
+    qs = secondary[:-1]
     return _Block(
         qp=qp,
         occupancy=occupancy,
@@ -663,11 +656,11 @@ def _block_pass(
         su_departure=success & (qs > 0),
         qs=qs,
         qp_end=backlog[:, -1].astype(np.int64),
-        qs_end=int(qs_end),
+        qs_end=int(secondary[-1]),
     )
 
 
-def _run_block(draws: SlotDraws, qp0, qs0, dominant: bool, success_by_width) -> _Block:
+def _run_block(draws: SlotDraws, qp0, qs0, dominant: bool, success_by_width, scans) -> _Block:
     """Execute a block: iterate willing <- [q_s > 0] from all ones to its fixed point.
 
     A band is served when its primary link succeeds unless the secondary
@@ -677,7 +670,8 @@ def _run_block(draws: SlotDraws, qp0, qs0, dominant: bool, success_by_width) -> 
     fixed point within n + 1 passes, and the fixed point is the causal run.
     Each pass after the first repairs the primary backlogs of the one before
     with _repair_backlogs, or scans every band again when willing rose
-    anywhere or the repair declines (see the module docstring).
+    anywhere or the repair declines (see the module docstring).  Both
+    primary scans write into scans, the caller's buffer per dtype.
     """
     # shared by every pass: where occupancy flips the idle verdict, and the
     # served links that a transmitting secondary blocks
@@ -687,7 +681,7 @@ def _run_block(draws: SlotDraws, qp0, qs0, dominant: bool, success_by_width) -> 
     # about 20x slower than with another bool array
     willing = np.ones(len(draws.su_uniform), dtype=bool)
     served = draws.pu_channel_ok ^ blocked
-    backlog = _lindley_buffer(qp0, draws.primary_arrivals, served)
+    backlog = _lindley_buffer(qp0, draws.primary_arrivals, served, scans)
     while True:
         block = _block_pass(draws, flip, backlog, served, willing, qs0, success_by_width)
         if dominant:
@@ -703,7 +697,7 @@ def _run_block(draws: SlotDraws, qp0, qs0, dominant: bool, success_by_width) -> 
         del block  # a pass keeps only the backlogs of the one before
         if rose or not _repair_backlogs(backlog, draws.primary_arrivals, served, starts):
             del backlog, starts  # freed before the scan that replaces them
-            backlog = _lindley_buffer(qp0, draws.primary_arrivals, served)
+            backlog = _lindley_buffer(qp0, draws.primary_arrivals, served, scans)
         willing = settled
 
 
@@ -964,16 +958,13 @@ def run(cfg: SimConfig, trace_path: str | Path | None = None) -> SimReport:
     tally = _Tally(m, cfg.slots, cfg.warmup)
     trace_lines = _TraceLines()
     qp, qs = np.zeros(m, dtype=np.int64), 0
-    scans = _RUN_SCANS.set({})
-    try:
-        with open(trace_path, "wb") if trace_path is not None else nullcontext() as trace:
-            for first in range(0, cfg.slots, block_slots):
-                draws = streams.draw_block(min(block_slots, cfg.slots - first))
-                block = _run_block(draws, qp, qs, cfg.mode is Mode.DOMINANT, success_by_width)
-                tally.add(first, block, draws)
-                if trace is not None:
-                    trace.write(trace_lines(first, block, draws))
-                qp, qs = block.qp_end, block.qs_end
-    finally:
-        _RUN_SCANS.reset(scans)
+    scans = {}  # the primary scan's buffer per dtype, shared by the run's blocks
+    with open(trace_path, "wb") if trace_path is not None else nullcontext() as trace:
+        for first in range(0, cfg.slots, block_slots):
+            draws = streams.draw_block(min(block_slots, cfg.slots - first))
+            block = _run_block(draws, qp, qs, cfg.mode is Mode.DOMINANT, success_by_width, scans)
+            tally.add(first, block, draws)
+            if trace is not None:
+                trace.write(trace_lines(first, block, draws))
+            qp, qs = block.qp_end, block.qs_end
     return tally.report(cfg, qs)

@@ -411,6 +411,24 @@ def test_out_of_range_run_flag_is_refused_when_no_row_runs(
     assert f"specagg: usage error: {needle}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "settings, needle",
+    [
+        ({"sim_slots": 0, "sim_seed": 3}, "sim_slots: must be >= 1, got 0"),
+        ({"sim_slots": 2000, "sim_seed": -1}, "sim_seed: must be >= 0, got -1"),
+    ],
+    ids=["sim_slots", "sim_seed"],
+)
+def test_out_of_range_sweep_setting_is_a_config_error(tmp_path, capsys, settings, needle):
+    # SimConfig checks the file's settings as it checks --slots and --seed
+    sweep = {"axis": "lambda_p", "values": [0.32], "with_simulation": True, **settings}
+    config = write_config(tmp_path, {**TINY, **sweep})
+    assert main(["sweep", "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"specagg: config error: {needle}" in captured.err
+
+
 def test_sweep_over_band_counts_omits_m_opt(tmp_path, capsys):
     config = write_config(
         tmp_path, {**TINY, "axis": "m_bands", "values": [1, 2]}, name="bands.json"

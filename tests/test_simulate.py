@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 import warnings
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -420,7 +421,7 @@ def test_trace_renderer_reuses_its_matrix_only_within_one_layout():
     blocks = []
     for n in (300, 300, 200):
         draws = streams.draw_block(n)
-        blocks.append((draws, simulate._run_block(draws, np.zeros(9), 0, True, success)))
+        blocks.append((draws, simulate._run_block(draws, np.zeros(9), 0, True, success, {})))
     render = simulate._TraceLines()
     # the same layout with other values, a wider slot column (its numbers
     # cross 10**4), back to the first layout, then fewer slots
@@ -674,9 +675,9 @@ def count_kernel_work(monkeypatch) -> Counter:
         simulate._block_pass,
     )
 
-    def counting_scan(q0, arrivals, service):
-        counts["scans"] += arrivals.ndim == 2  # the secondary's scan is one row
-        return scan(q0, arrivals, service)
+    def counting_scan(*args):
+        counts["scans"] += args[1].ndim == 2  # the secondary's scan is one row
+        return scan(*args)
 
     def counting_repair(*args):
         held = repair(*args)
@@ -794,6 +795,12 @@ def test_run_conserves_secondary_packets(monkeypatch, case, extra_slots, block):
         assert report.arrivals_s - report.departures_s == report.final_queue_s
 
 
+def lindley(q0, arrivals, service):
+    """The backlogs before every slot and after the last, from a fresh buffer."""
+    q = simulate._lindley_buffer(q0, arrivals, service, {})
+    return q[..., :-1], q[..., -1]
+
+
 def lindley_reference(q0: int, arrivals, service) -> tuple[list[int], int]:
     """q' = max(q - service, 0) + arrivals, one slot at a time."""
     q, starts = int(q0), []
@@ -820,7 +827,7 @@ def test_lindley_matches_the_recursion(q0, dtype):
     for p_arrival, p_service in ((0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (0.2, 0.7)):
         arrivals = rng.random(n) < p_arrival
         service = rng.random(n) < p_service
-        start, end = simulate._lindley(q0, arrivals, service)
+        start, end = lindley(q0, arrivals, service)
         assert start.dtype == dtype
         assert (start.tolist(), int(end)) == lindley_reference(q0, arrivals, service)
 
@@ -829,8 +836,8 @@ def test_lindley_matches_the_recursion(q0, dtype):
         q0s = np.array([q0, 0, 1, q0 // 2, 3], dtype=np.int64)
         arrivals = rng.random((bands, n)) < p_arrival
         service = rng.random((bands, n)) < p_service
-        start, end = simulate._lindley(q0s, arrivals, service)
-        assert start.dtype == dtype and end.dtype == np.int64
+        start, end = lindley(q0s, arrivals, service)
+        assert start.dtype == end.dtype == dtype
         for b in range(bands):
             want = lindley_reference(q0s[b], arrivals[b], service[b])
             assert (start[b].tolist(), int(end[b])) == want
@@ -850,11 +857,11 @@ def test_lindley_matches_the_recursion_at_every_byte_edge(n):
     for q0, dtype in ((0, np.int32), (edge - 1, np.int32), (edge, np.int64)):
         q0s = np.array([q0, 5, q0, q0, 1, q0], dtype=np.int64)
         want = [lindley_reference(*row) for row in zip(q0s, arrivals, service)]
-        start, end = simulate._lindley(q0s, arrivals, service)
+        start, end = lindley(q0s, arrivals, service)
         assert start.dtype == dtype
         assert [(s.tolist(), int(e)) for s, e in zip(start, end)] == want
         for b in (0, 2, 3):
-            start, end = simulate._lindley(q0s[b], arrivals[b], service[b])
+            start, end = lindley(q0s[b], arrivals[b], service[b])
             assert start.dtype == dtype and (start.tolist(), int(end)) == want[b]
 
 
@@ -873,25 +880,47 @@ def test_byte_paths_match_the_slot_recursion():
 
 
 def test_run_owns_its_primary_scans_and_other_callers_get_fresh_ones(monkeypatch):
-    # run() hands every block the same buffer, and only while it runs
+    # a block's primary backlogs live in the buffer its caller hands in: run()
+    # hands every block of a run the same one, and the secondary's backlogs
+    # never share it
     sc = reference_scenario(lambda_s=0.3)
     draws = ProtocolStreams(sc, 5).draw_block(300)
     success = np.asarray(su_success_table(sc.channel))
-    first, second = (simulate._run_block(draws, np.zeros(13), 0, True, success) for _ in range(2))
-    assert not np.shares_memory(first.qp, second.qp)
-    blocks = []
     run_block = simulate._run_block
+    for mode in Mode:
+        dominant = mode is Mode.DOMINANT
+        scans = [{}, {}]
+        first, second = (run_block(draws, np.zeros(13), 0, dominant, success, s) for s in scans)
+        assert not np.shares_memory(first.qp, second.qp)
+        assert np.shares_memory(first.qp, scans[0][np.int32])
+        blocks = []
 
-    def keeping_block(*args):
-        blocks.append(run_block(*args))
-        return blocks[-1]
+        def keeping_block(*args):
+            blocks.append(run_block(*args))
+            return blocks[-1]
 
-    monkeypatch.setattr(simulate, "_run_block", keeping_block)
-    run(SimConfig(scenario=sc, mode=Mode.DOMINANT, slots=3 * simulate._block_slots(13), seed=5))
-    assert len(blocks) == 3
-    assert all(np.shares_memory(block.qp, blocks[0].qp) for block in blocks)
-    assert not np.shares_memory(blocks[0].qp, blocks[0].qs)
-    assert simulate._RUN_SCANS.get(None) is None
+        monkeypatch.setattr(simulate, "_run_block", keeping_block)
+        run(SimConfig(scenario=sc, mode=mode, slots=3 * simulate._block_slots(13), seed=5))
+        assert len(blocks) == 3
+        assert all(np.shares_memory(block.qp, blocks[0].qp) for block in blocks)
+        assert not any(np.shares_memory(a.qp, b.qs) for a in blocks for b in blocks)
+
+
+def test_concurrent_runs_share_nothing():
+    # two runs on two threads at once report what each reports alone: a
+    # scan buffer belongs to one run
+    cfgs = [
+        SimConfig(scenario=scenario, mode=mode, slots=60_000, seed=seed)
+        for scenario, mode, seed in (
+            (reference_scenario(lambda_s=0.3), Mode.DOMINANT, 3),
+            (small_scenario(m_bands=5), Mode.ORIGINAL, 4),
+        )
+    ]
+    alone = [run(cfg) for cfg in cfgs]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        together = list(pool.map(run, cfgs, timeout=60))
+    for got, want in zip(together, alone):
+        assert_same_report(got, want)
 
 
 def test_analysis_never_builds_the_byte_table():
