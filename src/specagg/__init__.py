@@ -5,6 +5,21 @@ cross-check, a slotted Monte Carlo simulator of the interacting-queue
 system, a sensed-band-count optimizer, and a sweep/comparison CLI.
 """
 
+# simulate comes first, so that its module is compiled before numpy is
+# loaded; the other way round the compiler's peak sits on top of numpy's
+# memory and raises the process's peak RSS by about 2 MB where bytecode is
+# not cached (PYTHONDONTWRITEBYTECODE)
+from .simulate import (  # isort: skip
+    Mode,
+    ProtocolStreams,
+    QueueState,
+    SimConfig,
+    SimReport,
+    SlotOutcome,
+    Verdict,
+    run,
+    step,
+)
 from .analysis import (
     AnalyticalResult,
     BoundaryPoint,
@@ -30,17 +45,6 @@ from .channel import (
 from .config import ConfigError, ScenarioConfig, SweepSpec, apply_axis, load_config
 from .optimize import OptimizeResult, optimize_sensed_bands
 from .sensing import SensingParams
-from .simulate import (
-    Mode,
-    ProtocolStreams,
-    QueueState,
-    SimConfig,
-    SimReport,
-    SlotOutcome,
-    Verdict,
-    run,
-    step,
-)
 
 __version__ = "0.1.0"
 

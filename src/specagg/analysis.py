@@ -10,13 +10,18 @@ detected, c = (1 - pi)(1 - p_md); busy and missed, (1 - pi) p_md.  A slot
 serves the secondary only when no band is busy and missed, so both closed
 forms reduce to binomial sums in a, b = pi p_fa + c and c.  mu_s costs
 O(m) and the single-band baseline O(1); both stay finite for m_bands in
-the thousands.  mu_s is one private sum over a prebuilt s(n) table and
-log-factorial list, and the two sweeps share those between points:
-stability_region builds them once per call, so a grid of G values costs
-m entries of s(n) and G sums of O(m).  The sensed-band optimizer
-evaluates mu_s at m = 1..M in O(M**2) sums, but computes pi, log a and
-log b once and builds one s(n) table per sensing-pass count, about
-M**2 / (2 k_antennas) entries in all instead of M**2 / 2.
+the thousands.
+
+mu_s, the stability grid and the sensed-band optimizer share one private
+kernel, _binomial_rows: numpy forms a row of log-weights per sum, libm's
+exp turns them into weights one value at a time, and np.add.accumulate
+adds each row from n = 1 up, so every value is what a Python loop over n
+gives, bit for bit.  stability_region builds s(n) and the log-factorials
+once per call and makes one row per grid value that leaves idle bands.
+The optimizer makes one row per m = 1..M, O(M**2) terms in chunks of
+bounded size, but computes pi, log a and log b once and builds one s(n)
+table per sensing-pass count, about M**2 / (2 k_antennas) entries in all
+instead of M**2 / 2.
 """
 
 from __future__ import annotations
@@ -25,7 +30,17 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .channel import ChannelParams, _real, pu_success_prob, su_success_prob, su_success_table
+import numpy as np
+
+from .channel import (
+    ChannelParams,
+    _passes,
+    _real,
+    _su_success,
+    pu_success_prob,
+    su_success_prob,
+    su_success_table,
+)
 from .sensing import SensingParams
 
 __all__ = [
@@ -44,6 +59,8 @@ __all__ = [
 
 # 4**m outcome patterns; past this the exhaustive cross-check is refused.
 ORACLE_MAX_BANDS = 12
+# rows x width of the largest weight array a sweep hands _binomial_rows
+_CHUNK_ELEMENTS = 1 << 12
 
 
 class UnstablePrimaryError(Exception):
@@ -122,7 +139,13 @@ def _idle_and_detected(
 
 
 def _log(x: float) -> float:
-    return math.log(x) if x > 0.0 else -math.inf
+    """log x, and -1e300 for x = 0.
+
+    Times any count k >= 1 it weighs exp(-1e300 k) = 0.0, as -inf would,
+    but 0 times it is -0.0, which leaves a log-weight as it is, where
+    0 * -inf is NaN.
+    """
+    return math.log(x) if x > 0.0 else -1e300
 
 
 def _log_a_b(
@@ -133,26 +156,43 @@ def _log_a_b(
     return _log(pi * (1.0 - sensing.p_fa)), _log(pi * sensing.p_fa + c)
 
 
-def _log_factorials(m: int) -> list[float]:
+def _log_factorials(m: int) -> np.ndarray:
     """log k! for k = 0..m."""
-    return [math.lgamma(k + 1) for k in range(m + 1)]
+    return np.fromiter(map(math.lgamma, range(1, m + 2)), float, m + 1)
 
 
-def _binomial_sum(
-    m: int, log_a: float, log_b: float, success, log_factorials: list[float]
-) -> float:
-    """sum_{n=1..m} C(m, n) a**n b**(m-n) success[n], with weights in log space.
+def _log_binomials(log_factorials: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """log C(m, n) and m - n for n = 1..m; log_factorials may run past m."""
+    log_binomials = log_factorials[m] - log_factorials[1 : m + 1] - log_factorials[m - 1 :: -1]
+    return log_binomials, np.arange(m - 1, -1.0, -1.0)
 
-    success and log_factorials may run past m; only entries 0..m are read.
+
+def _binomial_rows(log_binomials, counts, log_a, log_b, success, summed=None) -> np.ndarray:
+    """sum_{n=1..m} C(m, n) a**n b**(m-n) s(n) along the last axis.
+
+    log_binomials holds log C(m, n) and counts m - n for n = 1..width;
+    success holds s(1..width).  log_a and log_b are floats or one value
+    per row (a column); the arrays broadcast against each other.  Where
+    rows have different m, summed marks the terms n <= m of each row, and
+    the rest weigh 0.
+
+    Every weight is formed in log space, log C(m, n) + n log a + (m - n)
+    log b, operation for operation as a loop over n forms it, and goes
+    through libm's exp one value at a time: numpy's exp differs from it in
+    the last bit on a few percent of values.  np.add.accumulate adds each
+    row from n = 1 up, as the loop does, so every sum is the loop's, bit
+    for bit.
     """
-    total = 0.0
-    for n in range(1, m + 1):
-        log_weight = log_factorials[m] - log_factorials[n] - log_factorials[m - n]
-        log_weight += n * log_a
-        if n < m:
-            log_weight += (m - n) * log_b
-        total += math.exp(log_weight) * success[n]
-    return total
+    log_weight = log_binomials + np.arange(1.0, log_binomials.shape[-1] + 1.0) * log_a
+    log_weight += counts * log_b
+    if summed is None:
+        weights = np.fromiter(map(math.exp, log_weight.ravel().data), float, log_weight.size)
+        weights = weights.reshape(log_weight.shape)
+    else:
+        weights = np.zeros(log_weight.shape)
+        weights[summed] = np.fromiter(map(math.exp, log_weight[summed].data), float)
+    weights *= success
+    return np.add.accumulate(weights, axis=-1)[..., -1]
 
 
 def secondary_service_rate(
@@ -170,7 +210,9 @@ def secondary_service_rate(
     """
     m = channel.m_bands
     log_a, log_b = _log_a_b(channel, sensing, traffic)
-    return _binomial_sum(m, log_a, log_b, su_success_table(channel), _log_factorials(m))
+    success = _su_success(channel, range(1, m + 1), _passes(channel))
+    log_binomials, counts = _log_binomials(_log_factorials(m), m)
+    return float(_binomial_rows(log_binomials, counts, log_a, log_b, success))
 
 
 def secondary_service_rate_oracle(
@@ -226,19 +268,23 @@ def stability_region(
     """
     mu_p = primary_service_rate(channel, sensing)
     m = channel.m_bands
-    success, log_factorials = su_success_table(channel), _log_factorials(m)
-    points = []
+    success = _su_success(channel, range(1, m + 1), _passes(channel))
+    log_binomials, counts = _log_binomials(_log_factorials(m), m)
+    points = []  # (lambda_p, (log a, log b) where it leaves idle bands, else None)
     for lam_p in lambda_p_grid:
         traffic = TrafficParams(lambda_p=lam_p, lambda_s=0.0)
         try:
             idle = empty_probability(mu_p, traffic) > 0.0
         except UnstablePrimaryError:
             idle = False
-        rate = None
-        if idle:
-            rate = _binomial_sum(m, *_log_a_b(channel, sensing, traffic), success, log_factorials)
-        points.append(BoundaryPoint(lam_p, rate))
-    return points
+        points.append((lam_p, _log_a_b(channel, sensing, traffic) if idle else None))
+    logs = [ab for _, ab in points if ab is not None]
+    rates, step = [], max(1, _CHUNK_ELEMENTS // m)
+    for first in range(0, len(logs), step):
+        log_a, log_b = np.array(logs[first : first + step]).T[:, :, None]
+        rates += _binomial_rows(log_binomials, counts, log_a, log_b, success).tolist()
+    rates = iter(rates)
+    return [BoundaryPoint(lam_p, None if ab is None else next(rates)) for lam_p, ab in points]
 
 
 def single_band_service_rate(

@@ -14,6 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 __all__ = [
     "PowerMode",
@@ -111,8 +112,12 @@ def sensing_fraction(params: ChannelParams) -> float:
     With more antennas than bands the ceiling is 1 and a single per-band
     sensing period covers everything.
     """
-    passes = -(-params.m_bands // params.k_antennas)
-    return passes * params.tau_b_frac
+    return _passes(params) * params.tau_b_frac
+
+
+def _passes(params: ChannelParams) -> int:
+    """ceil(m_bands / k_antennas), the number of sensing passes."""
+    return -(-params.m_bands // params.k_antennas)
 
 
 def pu_success_prob(params: ChannelParams) -> float:
@@ -156,6 +161,24 @@ def su_effective_rate(params: ChannelParams, eta: int) -> float:
     return params.spectral_eff_r / (eta * available)
 
 
+def _su_success(params: ChannelParams, widths: Sequence[int], passes: int) -> list[float]:
+    """s(n) at each aggregate width n in widths, after passes sensing passes.
+
+    The one formula for s(n): exactly 0.0 where sensing consumes the whole
+    slot; in LIMITED mode the fixed total power is spread over the
+    aggregate, scaling the outage exponent by n.  It checks nothing and
+    makes one call per width, so a table of m widths costs m link
+    successes and no more.
+    """
+    available = 1.0 - passes * params.tau_b_frac
+    if available <= 0.0:
+        return [0.0] * len(widths)
+    rate, snr = params.spectral_eff_r, params.snr_s
+    if params.power_mode is PowerMode.LIMITED:
+        return [_link_success(rate / (n * available), snr, n) for n in widths]
+    return [_link_success(rate / (n * available), snr) for n in widths]
+
+
 def su_success_prob(params: ChannelParams, eta: int) -> float:
     """Per-slot success probability of a secondary packet over eta clean bands.
 
@@ -163,16 +186,12 @@ def su_success_prob(params: ChannelParams, eta: int) -> float:
     fixed total power is spread over the aggregate, scaling the outage
     exponent by eta.
     """
-    rate = su_effective_rate(params, eta)
-    if rate == math.inf:
-        return 0.0
-    # LIMITED mode spreads the fixed total power over the aggregate
-    limited = params.power_mode is PowerMode.LIMITED
-    return _link_success(rate, params.snr_s, eta if limited else 1)
+    _check_eta(params, eta)
+    return _su_success(params, (eta,), _passes(params))[0]
 
 
 def su_success_table(params: ChannelParams) -> tuple[float, ...]:
     """s(n) for aggregate widths n = 0..m, s(0) = 0.0; rebuilt on every call."""
     # From a list: tuple() of a generator resizes the tuple as it grows, which
     # raised a long CLI sweep's peak RSS by about 2 MB.
-    return (0.0, *[su_success_prob(params, n) for n in range(1, params.m_bands + 1)])
+    return (0.0, *_su_success(params, range(1, params.m_bands + 1), _passes(params)))

@@ -168,9 +168,9 @@ class SimConfig:
                 f"stable_slope: must be <= unstable_slope={self.unstable_slope}, "
                 f"got {self.stable_slope}"
             )
-        # step() reads it every slot and run() once; building it calls
-        # su_success_prob m times, so it is built once, when the config is
-        # made, and every run of the config then does the same work
+        # step() reads it every slot and run() once; building it costs m
+        # link successes, so it is built once, when the config is made, and
+        # every run of the config then does the same work
         object.__setattr__(self, "_success_table", su_success_table(self.scenario.channel))
 
 

@@ -1,14 +1,17 @@
 """The O(m) closed forms: oracle agreement, exact-arithmetic accuracy, domain edges."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import specagg.analysis
 import specagg.channel
+import specagg.optimize
 from specagg import (
     PowerMode,
     SensingParams,
@@ -20,8 +23,10 @@ from specagg import (
     secondary_service_rate,
     secondary_service_rate_oracle,
     single_band_service_rate,
+    sensing_fraction,
     stability_region,
     su_success_prob,
+    su_success_table,
 )
 
 from conftest import make_channel, reference_scenario
@@ -215,15 +220,16 @@ def test_boundary_is_the_closed_form_at_every_grid_value(point, loads, lambda_ps
 
 @pytest.fixture
 def table_entries(monkeypatch):
-    """The widths passed to su_success_prob by every s(n) table built."""
+    """The widths of every s(n) table built, in the order they are computed."""
     widths = []
-    build = specagg.channel.su_success_prob
+    build = specagg.channel._su_success
 
-    def counted(params, eta):
-        widths.append(eta)
-        return build(params, eta)
+    def counted(params, table_widths, passes):
+        widths.extend(table_widths)
+        return build(params, table_widths, passes)
 
-    monkeypatch.setattr(specagg.channel, "su_success_prob", counted)
+    for module in (specagg.channel, specagg.analysis, specagg.optimize):
+        monkeypatch.setattr(module, "_su_success", counted)
     return widths
 
 
@@ -245,3 +251,130 @@ def test_stability_region_builds_one_table_per_call(grid_length, table_entries):
     assert table_entries == list(range(1, 41))
     stability_region(sc.channel, sc.sensing, grid)
     assert table_entries == 2 * list(range(1, 41))
+
+
+# A literal scalar reference for the array kernel: s(n) one width at a time
+# and mu_s as a loop over n, term by term, with -inf for log 0.
+
+
+def scalar_success(channel, n):
+    available = 1.0 - sensing_fraction(channel)
+    if available <= 0.0:
+        return 0.0
+    rate = channel.spectral_eff_r / (n * available)
+    eta = n if channel.power_mode is PowerMode.LIMITED else 1
+    try:
+        exponent = (2.0**rate - 1.0) / channel.snr_s * eta
+    except OverflowError:
+        log_exponent = rate * math.log(2.0) + math.log(eta) - math.log(channel.snr_s)
+        exponent = math.exp(log_exponent) if log_exponent < 709.0 else math.inf
+    return math.exp(-exponent)
+
+
+def scalar_mu_s(channel, sensing, traffic):
+    m = channel.m_bands
+    pi = empty_probability(primary_service_rate(channel, sensing), traffic)
+    c = (1.0 - pi) * (1.0 - sensing.p_md)
+    a, b = pi * (1.0 - sensing.p_fa), pi * sensing.p_fa + c
+    log_a = math.log(a) if a > 0.0 else -math.inf
+    log_b = math.log(b) if b > 0.0 else -math.inf
+    log_factorials = [math.lgamma(k + 1) for k in range(m + 1)]
+    total = 0.0
+    for n in range(1, m + 1):
+        log_weight = log_factorials[m] - log_factorials[n] - log_factorials[m - n]
+        log_weight += n * log_a
+        if n < m:
+            log_weight += (m - n) * log_b
+        total += math.exp(log_weight) * scalar_success(channel, n)
+    return total
+
+
+@st.composite
+def kernel_points(draw):
+    """A point for the bit-identity check, m up to 2000, lambda_p in [0, mu_p].
+
+    spectral_eff_r reaches past 1024, where 2**rate overflows, and
+    tau_b_frac takes values at which the sensing passes fill the slot.
+    """
+    m = draw(st.sampled_from([1, 2, 13, 2000]) | st.integers(1, 60) | st.integers(61, 2000))
+    channel = make_channel(
+        snr_s=draw(st.sampled_from([1e-3, 1e3]) | st.floats(0.1, 10.0)),
+        spectral_eff_r=draw(st.sampled_from([1024.0, 3000.0]) | st.floats(0.1, 6.0)),
+        tau_b_frac=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 0.05)),
+        m_bands=m,
+        k_antennas=draw(st.integers(1, m + 10)),
+        p_bar_p=draw(unit_or_end),
+        power_mode=draw(st.sampled_from(PowerMode)),
+    )
+    sensing = SensingParams(p_fa=draw(unit_or_end), p_md=draw(unit_or_end))
+    lambda_p = draw(unit_or_end) * primary_service_rate(channel, sensing)
+    return channel, sensing, TrafficParams(lambda_p=lambda_p, lambda_s=0.0)
+
+
+def _edge_point(m, p_fa=0.05, p_md=0.05, load=0.5, **channel):
+    channel = make_channel(m_bands=m, **channel)
+    sensing = SensingParams(p_fa, p_md)
+    lambda_p = load * primary_service_rate(channel, sensing)
+    return channel, sensing, TrafficParams(lambda_p=lambda_p, lambda_s=0.0)
+
+
+KERNEL_PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+
+@KERNEL_PROPERTY
+@given(kernel_points())
+@example(_edge_point(2000, p_fa=0.0, p_md=1.0, load=0.0, power_mode=PowerMode.LIMITED))
+@example(_edge_point(40, p_fa=1.0, p_md=0.0, load=1.0))
+@example(_edge_point(30, tau_b_frac=0.5, k_antennas=8))  # sensing fills the slot from m = 17
+@example(_edge_point(25, spectral_eff_r=1500.0, power_mode=PowerMode.LIMITED, k_antennas=30))
+# 2**rate overflows at n = 1 and 2, but an SNR near the largest double leaves
+# s(2) = 0.013, which reads the log-space branch's ln eta
+@example(
+    _edge_point(
+        3, spectral_eff_r=2050.0, snr_s=1.7e308, tau_b_frac=0.0, power_mode=PowerMode.LIMITED
+    )
+)
+def test_array_kernel_is_the_scalar_loop_bit_for_bit(point):
+    channel, sensing, traffic = point
+    m = channel.m_bands
+    success = [scalar_success(channel, n) for n in range(1, m + 1)]
+    assert su_success_table(channel) == (0.0, *success)
+    assert su_success_prob(channel, m) == success[-1]
+    assert secondary_service_rate(*point) == scalar_mu_s(*point)
+    mu_p = primary_service_rate(channel, sensing)
+    grid = [0.0, traffic.lambda_p, mu_p, min(1.0, 2.0 * mu_p + 0.01)]
+    for p in stability_region(channel, sensing, grid):
+        if not p.skipped:
+            p_traffic = TrafficParams(lambda_p=p.lambda_p, lambda_s=0.0)
+            assert p.lambda_s_max == scalar_mu_s(channel, sensing, p_traffic)
+    if empty_probability(mu_p, traffic) > 0.0:
+        ceiling = replace(channel, m_bands=min(m, 60))
+        for m_sensed, rate in optimize_sensed_bands(ceiling, sensing, traffic).profile:
+            assert rate == scalar_mu_s(replace(ceiling, m_bands=m_sensed), sensing, traffic)
+
+
+def test_optimizer_memory_is_bounded_at_thousands_of_bands():
+    sc = reference_scenario(m_bands=2000)  # 8 antennas
+    tracemalloc.start()
+    try:
+        result = optimize_sensed_bands(sc.channel, sc.sensing, sc.traffic)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a 2000 x 2000 float64 matrix alone would take 32 MB
+    assert peak < 6_000_000
+    assert [m for m, _ in result.profile] == list(range(1, 2001))
+    assert all(0.0 <= rate <= 1.0 for _, rate in result.profile)
+    assert result.mu_s_opt == max(rate for _, rate in result.profile) > 0.0
+
+
+@pytest.mark.parametrize("mode", list(PowerMode))
+def test_sweeps_stay_finite_at_thousands_of_bands(mode):
+    sc = reference_scenario(m_bands=5000, k_antennas=5000, power_mode=mode)
+    mu_s = secondary_service_rate(sc.channel, sc.sensing, sc.traffic)
+    assert 0.0 < mu_s <= 1.0
+    mu_p = primary_service_rate(sc.channel, sc.sensing)
+    points = stability_region(sc.channel, sc.sensing, [0.0, 0.5, mu_p, 1.0])
+    assert [p.skipped for p in points] == [False, False, True, True]
+    assert points[1].lambda_s_max == mu_s
+    assert all(0.0 < p.lambda_s_max <= 1.0 for p in points[:2])
