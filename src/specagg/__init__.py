@@ -38,7 +38,6 @@ from .channel import (
     PowerMode,
     pu_success_prob,
     sensing_fraction,
-    su_effective_rate,
     su_success_prob,
     su_success_table,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "single_band_service_rate",
     "stability_region",
     "step",
-    "su_effective_rate",
     "su_success_prob",
     "su_success_table",
     "__version__",

@@ -12,6 +12,7 @@ forms reduce to binomial sums in a, b = pi p_fa + c and c.  mu_s costs
 O(m) and the single-band baseline O(1); both stay finite for m_bands in
 the thousands.
 
+Every sum derives mu_p and pi once per point and hands pi to _log_a_b.
 mu_s, the stability grid and the sensed-band optimizer share one private
 kernel, _binomial_rows: numpy forms a row of log-weights per sum, libm's
 exp turns them into weights one value at a time, and np.add.accumulate
@@ -130,14 +131,6 @@ def empty_probability(mu_p: float, traffic: TrafficParams) -> float:
     return 1.0 - traffic.lambda_p / mu_p
 
 
-def _idle_and_detected(
-    channel: ChannelParams, sensing: SensingParams, traffic: TrafficParams
-) -> tuple[float, float]:
-    """pi, and c = (1 - pi)(1 - p_md), the probability a band is busy and detected."""
-    pi = empty_probability(primary_service_rate(channel, sensing), traffic)
-    return pi, (1.0 - pi) * (1.0 - sensing.p_md)
-
-
 def _log(x: float) -> float:
     """log x, and -1e300 for x = 0.
 
@@ -148,11 +141,9 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -1e300
 
 
-def _log_a_b(
-    channel: ChannelParams, sensing: SensingParams, traffic: TrafficParams
-) -> tuple[float, float]:
+def _log_a_b(pi: float, sensing: SensingParams) -> tuple[float, float]:
     """log a and log b of the module docstring; neither depends on m_bands."""
-    pi, c = _idle_and_detected(channel, sensing, traffic)
+    c = (1.0 - pi) * (1.0 - sensing.p_md)
     return _log(pi * (1.0 - sensing.p_fa)), _log(pi * sensing.p_fa + c)
 
 
@@ -209,7 +200,8 @@ def secondary_service_rate(
     their exact value 0 (or 1 for a zero power).
     """
     m = channel.m_bands
-    log_a, log_b = _log_a_b(channel, sensing, traffic)
+    pi = empty_probability(primary_service_rate(channel, sensing), traffic)
+    log_a, log_b = _log_a_b(pi, sensing)
     success = _su_success(channel, range(1, m + 1), _passes(channel))
     log_binomials, counts = _log_binomials(_log_factorials(m), m)
     return float(_binomial_rows(log_binomials, counts, log_a, log_b, success))
@@ -274,10 +266,10 @@ def stability_region(
     for lam_p in lambda_p_grid:
         traffic = TrafficParams(lambda_p=lam_p, lambda_s=0.0)
         try:
-            idle = empty_probability(mu_p, traffic) > 0.0
+            pi = empty_probability(mu_p, traffic)
         except UnstablePrimaryError:
-            idle = False
-        points.append((lam_p, _log_a_b(channel, sensing, traffic) if idle else None))
+            pi = 0.0
+        points.append((lam_p, _log_a_b(pi, sensing) if pi > 0.0 else None))
     logs = [ab for _, ab in points if ab is not None]
     rates, step = [], max(1, _CHUNK_ELEMENTS // m)
     for first in range(0, len(logs), step):
@@ -302,7 +294,8 @@ def single_band_service_rate(
     keeps its relative accuracy when p_fa is near 1.
     """
     m = channel.m_bands
-    pi, c = _idle_and_detected(channel, sensing, traffic)
+    pi = empty_probability(primary_service_rate(channel, sensing), traffic)
+    c = (1.0 - pi) * (1.0 - sensing.p_md)
     a = pi * (1.0 - sensing.p_fa)
     if a == 0.0:
         return 0.0  # no band is ever idle and declared idle

@@ -21,7 +21,6 @@ __all__ = [
     "ChannelParams",
     "sensing_fraction",
     "pu_success_prob",
-    "su_effective_rate",
     "su_success_prob",
     "su_success_table",
 ]
@@ -45,7 +44,7 @@ def _real(name: str, value):
     A bool, or anything that is not a real number, is a ValueError naming name.
     """
     # int and float come first: the numbers.Real check alone costs about
-    # 0.5 us, and the optimizer and the stability grid build classes in loops
+    # 0.5 us, and the stability grid builds one TrafficParams per grid value
     if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
         raise ValueError(f"{name}: must be a real number, got {value!r}")
     return value
@@ -143,32 +142,16 @@ def _link_success(rate: float, snr: float, eta: int = 1) -> float:
     return math.exp(-exponent)
 
 
-def _check_eta(params: ChannelParams, eta: int) -> None:
-    if not 1 <= eta <= params.m_bands:
-        raise ValueError(f"eta must be in [1, {params.m_bands}], got {eta}")
-
-
-def su_effective_rate(params: ChannelParams, eta: int) -> float:
-    """Spectral efficiency the secondary must sustain over eta aggregated bands.
-
-    The packet has to fit in the slot time left after sensing; if sensing
-    consumes the whole slot the required rate is math.inf.
-    """
-    _check_eta(params, eta)
-    available = 1.0 - sensing_fraction(params)
-    if available <= 0.0:
-        return math.inf
-    return params.spectral_eff_r / (eta * available)
-
-
 def _su_success(params: ChannelParams, widths: Sequence[int], passes: int) -> list[float]:
     """s(n) at each aggregate width n in widths, after passes sensing passes.
 
-    The one formula for s(n): exactly 0.0 where sensing consumes the whole
-    slot; in LIMITED mode the fixed total power is spread over the
-    aggregate, scaling the outage exponent by n.  It checks nothing and
-    makes one call per width, so a table of m widths costs m link
-    successes and no more.
+    The one formula for s(n): the packet must fit in the slot time left
+    after sensing, so the link needs rate r / (n (1 - passes tau_b_frac)),
+    and s(n) is exactly 0.0 where sensing consumes the whole slot; in
+    LIMITED mode the fixed total power is spread over the aggregate,
+    scaling the outage exponent by n.  It checks nothing and makes one
+    call per width, so a table of m widths costs m link successes and no
+    more.
     """
     available = 1.0 - passes * params.tau_b_frac
     if available <= 0.0:
@@ -186,7 +169,8 @@ def su_success_prob(params: ChannelParams, eta: int) -> float:
     fixed total power is spread over the aggregate, scaling the outage
     exponent by eta.
     """
-    _check_eta(params, eta)
+    if not 1 <= eta <= params.m_bands:
+        raise ValueError(f"eta must be in [1, {params.m_bands}], got {eta}")
     return _su_success(params, (eta,), _passes(params))[0]
 
 

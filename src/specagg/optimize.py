@@ -54,12 +54,13 @@ def optimize_sensed_bands(
     _binomial_rows a few thousand terms at a time, never as an M x M array.
     """
     mu_p = primary_service_rate(channel, sensing)
-    if empty_probability(mu_p, traffic) == 0.0:  # raises when lambda_p > mu_p
+    pi = empty_probability(mu_p, traffic)  # raises when lambda_p > mu_p
+    if pi == 0.0:
         raise UnstablePrimaryError(
             f"lambda_p = {traffic.lambda_p} leaves no idle bands "
             f"(mu_p = {mu_p}); nothing to optimize"
         )
-    log_a, log_b = _log_a_b(channel, sensing, traffic)
+    log_a, log_b = _log_a_b(pi, sensing)
     m_bands, k = channel.m_bands, channel.k_antennas
     log_factorials = _log_factorials(m_bands)
     # s(n; m) depends on m only through the ceil(m / k) sensing passes, so

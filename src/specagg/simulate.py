@@ -350,14 +350,18 @@ class ProtocolStreams:
         return self._draw(n)
 
     def _refill(self) -> None:
-        # per-slot lists in next_slot() order, band sets as bitmasks
+        # one tuple per slot in next_slot() order, band sets as bitmasks
         draws = self._draw(self._refill_size)
-        self._sense_busy = _pack_slot_masks(draws.sense_if_busy)
-        self._sense_idle = _pack_slot_masks(draws.sense_if_idle)
-        self._pu_ok = _pack_slot_masks(draws.pu_channel_ok)
-        self._su_u = draws.su_uniform.tolist()
-        self._arr_p = _pack_slot_masks(draws.primary_arrivals)
-        self._arr_s = draws.secondary_arrival.tolist()
+        self._slots = list(
+            zip(
+                _pack_slot_masks(draws.sense_if_busy),
+                _pack_slot_masks(draws.sense_if_idle),
+                _pack_slot_masks(draws.pu_channel_ok),
+                draws.su_uniform.tolist(),
+                _pack_slot_masks(draws.primary_arrivals),
+                draws.secondary_arrival.tolist(),
+            )
+        )
         self._pos = 0
         self._size = self._refill_size
         self._refill_size = min(2 * self._refill_size, self._CHUNK)
@@ -368,14 +372,7 @@ class ProtocolStreams:
         i = self._pos
         self._pos = i + 1
         self.consumed += 1
-        return (
-            self._sense_busy[i],
-            self._sense_idle[i],
-            self._pu_ok[i],
-            self._su_u[i],
-            self._arr_p[i],
-            self._arr_s[i],
-        )
+        return self._slots[i]
 
 
 def step(

@@ -11,7 +11,6 @@ from specagg import (
     SimConfig,
     pu_success_prob,
     sensing_fraction,
-    su_effective_rate,
     su_success_prob,
     su_success_table,
 )
@@ -146,33 +145,17 @@ def test_snr_p_must_be_positive(snr_p):
         make_channel(p_bar_p=None, snr_p=snr_p)
 
 
-def test_su_effective_rate_examples():
-    ch = make_channel(m_bands=8, k_antennas=8)
-    assert su_effective_rate(ch, 1) == pytest.approx(2.0202020202020203, rel=1e-12)
-    assert su_effective_rate(ch, 2) == pytest.approx(1.0101010101010102, rel=1e-12)
-
-
-def test_su_effective_rate_infinite_when_sensing_eats_the_slot():
+def test_su_success_is_zero_when_sensing_eats_the_slot():
     ch = make_channel(m_bands=40, k_antennas=2, tau_b_frac=0.05)  # 20 passes * 0.05
-    assert su_effective_rate(ch, 1) == math.inf
     assert su_success_prob(ch, 1) == 0.0
     assert su_success_prob(ch, 40) == 0.0
     assert su_success_table(ch) == (0.0,) * 41
 
 
-def test_su_effective_rate_finite_iff_sensing_below_slot():
-    for k in range(1, 49):
-        ch = make_channel(m_bands=40, k_antennas=k, tau_b_frac=0.05)
-        finite = su_effective_rate(ch, 1) != math.inf
-        assert finite == (sensing_fraction(ch) < 1.0)
-
-
-def test_su_effective_rate_eta_bounds():
+def test_su_success_prob_eta_bounds():
     ch = make_channel(m_bands=8)
     with pytest.raises(ValueError, match="eta"):
-        su_effective_rate(ch, 0)
-    with pytest.raises(ValueError, match="eta"):
-        su_effective_rate(ch, 9)
+        su_success_prob(ch, 0)
     with pytest.raises(ValueError, match="eta"):
         su_success_prob(ch, 9)
 
@@ -251,7 +234,7 @@ def test_success_is_exact_where_two_to_the_rate_overflows(r, snr):
     assert su_success_prob(psd, 1) == pytest.approx(want, rel=1e-12, abs=0)
     limited = make_channel(snr_s=snr, power_mode=PowerMode.LIMITED, **channel)
     for eta in (1, 3):
-        want = exact_link_success(su_effective_rate(limited, eta), snr, eta)
+        want = exact_link_success(r / eta, snr, eta)  # no sensing time
         assert su_success_prob(limited, eta) == pytest.approx(want, rel=1e-12, abs=0)
 
 

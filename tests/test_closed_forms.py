@@ -1,5 +1,6 @@
 """The O(m) closed forms: oracle agreement, exact-arithmetic accuracy, domain edges."""
 
+import decimal
 import math
 import tracemalloc
 from dataclasses import replace
@@ -142,6 +143,46 @@ def test_closed_forms_stay_finite_at_thousands_of_bands(m):
         free = TrafficParams(0.0, 0.0)
         perfect = SensingParams(0.0, 0.0)
         assert secondary_service_rate(channel, perfect, free) == su_success_prob(channel, m)
+
+
+def _decimal_mu_s(channel, sensing, traffic) -> decimal.Decimal:
+    """mu_s summed in 60-digit decimals on the code's float pi, p_fa, p_md and s(n).
+
+    The terms come from t_0 = b**m by t_n = t_{n-1} (m - n + 1) / n * a / b,
+    so no term is formed in floating point.
+    """
+    m = channel.m_bands
+    success = su_success_table(channel)
+    context = decimal.Context(prec=60, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    with decimal.localcontext(context):
+        D = decimal.Decimal
+        pi = D(empty_probability(primary_service_rate(channel, sensing), traffic))
+        p_fa, p_md = D(sensing.p_fa), D(sensing.p_md)
+        a = pi * (1 - p_fa)
+        b = pi * p_fa + (1 - pi) * (1 - p_md)
+        term, total = b**m, D(0)
+        for n in range(1, m + 1):
+            term = term * (m - n + 1) / n * a / b
+            total += term * D(success[n])
+        return +total
+
+
+# at K = 8 sensing fills the slot from m = 800 on, and mu_s is 0 there
+@pytest.mark.parametrize(
+    "m, k, mode",
+    [
+        (100, 50, PowerMode.PSD),
+        (1000, 500, PowerMode.PSD),
+        (5000, 2500, PowerMode.PSD),
+        (1000, 500, PowerMode.LIMITED),
+    ],
+)
+def test_mu_s_is_accurate_at_thousands_of_bands(m, k, mode):
+    sc = reference_scenario(m_bands=m, k_antennas=k, power_mode=mode)
+    exact = _decimal_mu_s(sc.channel, sc.sensing, sc.traffic)
+    mu_s = secondary_service_rate(sc.channel, sc.sensing, sc.traffic)
+    assert exact > 0
+    assert float(abs(decimal.Decimal(mu_s) - exact) / exact) <= 1e-10
 
 
 def _assert_positive_zero(value: float) -> None:
