@@ -38,7 +38,6 @@ from .channel import (
     PowerMode,
     pu_success_prob,
     sensing_fraction,
-    su_success_prob,
     su_success_table,
 )
 from .config import ConfigError, ScenarioConfig, SweepSpec, apply_axis, load_config
@@ -80,7 +79,6 @@ __all__ = [
     "single_band_service_rate",
     "stability_region",
     "step",
-    "su_success_prob",
     "su_success_table",
     "__version__",
 ]

@@ -12,13 +12,16 @@ forms reduce to binomial sums in a, b = pi p_fa + c and c.  mu_s costs
 O(m) and the single-band baseline O(1); both stay finite for m_bands in
 the thousands.
 
-Every sum derives mu_p and pi once per point and hands pi to _log_a_b.
+Every entry point, analyze included, derives mu_p and pi once per point;
+_a_b_c gives a, b and c to _log_a_b and to the single-band baseline, and
+_mu_s sums mu_s at a given pi for secondary_service_rate and analyze.
 mu_s, the stability grid and the sensed-band optimizer share one private
 kernel, _binomial_rows: numpy forms a row of log-weights per sum, libm's
 exp turns them into weights one value at a time, and np.add.accumulate
 adds each row from n = 1 up, so every value is what a Python loop over n
-gives, bit for bit.  stability_region builds s(n) and the log-factorials
-once per call and makes one row per grid value that leaves idle bands.
+gives, bit for bit.  _fixed_m_terms builds log C(m, n), m - n and s(n) at
+one m for mu_s and the stability grid; stability_region builds them once
+per call and makes one row per grid value that leaves idle bands.
 The optimizer makes one row per m = 1..M, O(M**2) terms in chunks of
 bounded size, but computes pi, log a and log b once and builds one s(n)
 table per sensing-pass count, about M**2 / (2 k_antennas) entries in all
@@ -39,7 +42,6 @@ from .channel import (
     _real,
     _su_success,
     pu_success_prob,
-    su_success_prob,
     su_success_table,
 )
 from .sensing import SensingParams
@@ -141,10 +143,16 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -1e300
 
 
-def _log_a_b(pi: float, sensing: SensingParams) -> tuple[float, float]:
-    """log a and log b of the module docstring; neither depends on m_bands."""
+def _a_b_c(pi: float, sensing: SensingParams) -> tuple[float, float, float]:
+    """a, b and c of the module docstring; none depends on m_bands."""
     c = (1.0 - pi) * (1.0 - sensing.p_md)
-    return _log(pi * (1.0 - sensing.p_fa)), _log(pi * sensing.p_fa + c)
+    return pi * (1.0 - sensing.p_fa), pi * sensing.p_fa + c, c
+
+
+def _log_a_b(pi: float, sensing: SensingParams) -> tuple[float, float]:
+    """log a and log b of the module docstring."""
+    a, b, _ = _a_b_c(pi, sensing)
+    return _log(a), _log(b)
 
 
 def _log_factorials(m: int) -> np.ndarray:
@@ -152,10 +160,13 @@ def _log_factorials(m: int) -> np.ndarray:
     return np.fromiter(map(math.lgamma, range(1, m + 2)), float, m + 1)
 
 
-def _log_binomials(log_factorials: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """log C(m, n) and m - n for n = 1..m; log_factorials may run past m."""
+def _fixed_m_terms(channel: ChannelParams) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """log C(m, n), m - n and s(n) for n = 1..m at the channel's m_bands."""
+    m = channel.m_bands
+    log_factorials = _log_factorials(m)
     log_binomials = log_factorials[m] - log_factorials[1 : m + 1] - log_factorials[m - 1 :: -1]
-    return log_binomials, np.arange(m - 1, -1.0, -1.0)
+    success = _su_success(channel, range(1, m + 1), _passes(channel))
+    return log_binomials, np.arange(m - 1, -1.0, -1.0), success
 
 
 def _binomial_rows(log_binomials, counts, log_a, log_b, success, summed=None) -> np.ndarray:
@@ -186,6 +197,12 @@ def _binomial_rows(log_binomials, counts, log_a, log_b, success, summed=None) ->
     return np.add.accumulate(weights, axis=-1)[..., -1]
 
 
+def _mu_s(channel: ChannelParams, sensing: SensingParams, pi: float) -> float:
+    """mu_s at the empty-band probability pi; see secondary_service_rate."""
+    log_binomials, counts, success = _fixed_m_terms(channel)
+    return float(_binomial_rows(log_binomials, counts, *_log_a_b(pi, sensing), success))
+
+
 def secondary_service_rate(
     channel: ChannelParams, sensing: SensingParams, traffic: TrafficParams
 ) -> float:
@@ -199,12 +216,8 @@ def secondary_service_rate(
     overflows or underflows on its own; a zero a or b gives its terms
     their exact value 0 (or 1 for a zero power).
     """
-    m = channel.m_bands
     pi = empty_probability(primary_service_rate(channel, sensing), traffic)
-    log_a, log_b = _log_a_b(pi, sensing)
-    success = _su_success(channel, range(1, m + 1), _passes(channel))
-    log_binomials, counts = _log_binomials(_log_factorials(m), m)
-    return float(_binomial_rows(log_binomials, counts, log_a, log_b, success))
+    return _mu_s(channel, sensing, pi)
 
 
 def secondary_service_rate_oracle(
@@ -259,9 +272,7 @@ def stability_region(
     once per call and shared by every grid value.
     """
     mu_p = primary_service_rate(channel, sensing)
-    m = channel.m_bands
-    success = _su_success(channel, range(1, m + 1), _passes(channel))
-    log_binomials, counts = _log_binomials(_log_factorials(m), m)
+    log_binomials, counts, success = _fixed_m_terms(channel)
     points = []  # (lambda_p, (log a, log b) where it leaves idle bands, else None)
     for lam_p in lambda_p_grid:
         traffic = TrafficParams(lambda_p=lam_p, lambda_s=0.0)
@@ -271,7 +282,7 @@ def stability_region(
             pi = 0.0
         points.append((lam_p, _log_a_b(pi, sensing) if pi > 0.0 else None))
     logs = [ab for _, ab in points if ab is not None]
-    rates, step = [], max(1, _CHUNK_ELEMENTS // m)
+    rates, step = [], max(1, _CHUNK_ELEMENTS // channel.m_bands)
     for first in range(0, len(logs), step):
         log_a, log_b = np.array(logs[first : first + step]).T[:, :, None]
         rates += _binomial_rows(log_binomials, counts, log_a, log_b, success).tolist()
@@ -295,8 +306,7 @@ def single_band_service_rate(
     """
     m = channel.m_bands
     pi = empty_probability(primary_service_rate(channel, sensing), traffic)
-    c = (1.0 - pi) * (1.0 - sensing.p_md)
-    a = pi * (1.0 - sensing.p_fa)
+    a, _, c = _a_b_c(pi, sensing)
     if a == 0.0:
         return 0.0  # no band is ever idle and declared idle
     idle_or_detected = pi + c
@@ -304,7 +314,7 @@ def single_band_service_rate(
         share = 1.0  # b is 0
     else:
         share = -math.expm1(m * math.log1p(-a / idle_or_detected))
-    one_band = su_success_prob(channel, 1)  # width 1: both power modes agree
+    one_band = _su_success(channel, (1,), _passes(channel))[0]  # both power modes agree
     return one_band * idle_or_detected**m * share
 
 
@@ -314,7 +324,7 @@ def analyze(
     """Evaluate all closed forms for one operating point."""
     mu_p = primary_service_rate(channel, sensing)
     pi = empty_probability(mu_p, traffic)
-    mu_s = secondary_service_rate(channel, sensing, traffic)
+    mu_s = _mu_s(channel, sensing, pi)
     return AnalyticalResult(
         mu_p=mu_p,
         pi=pi,

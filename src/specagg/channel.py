@@ -21,7 +21,6 @@ __all__ = [
     "ChannelParams",
     "sensing_fraction",
     "pu_success_prob",
-    "su_success_prob",
     "su_success_table",
 ]
 
@@ -100,7 +99,7 @@ class ChannelParams:
             raise ValueError(f"m_bands: must be >= 1, got {self.m_bands}")
         if not self.k_antennas >= 1:
             raise ValueError(f"k_antennas: must be >= 1, got {self.k_antennas}")
-        # su_success_prob tests the mode by identity: the string "LIMITED" would run as PSD
+        # _su_success tests the mode by identity: the string "LIMITED" would run as PSD
         if not isinstance(self.power_mode, PowerMode):
             raise ValueError(f"power_mode: must be a PowerMode, got {self.power_mode!r}")
 
@@ -160,18 +159,6 @@ def _su_success(params: ChannelParams, widths: Sequence[int], passes: int) -> li
     if params.power_mode is PowerMode.LIMITED:
         return [_link_success(rate / (n * available), snr, n) for n in widths]
     return [_link_success(rate / (n * available), snr) for n in widths]
-
-
-def su_success_prob(params: ChannelParams, eta: int) -> float:
-    """Per-slot success probability of a secondary packet over eta clean bands.
-
-    Exactly 0.0 when sensing consumes the whole slot.  In LIMITED mode the
-    fixed total power is spread over the aggregate, scaling the outage
-    exponent by eta.
-    """
-    if not 1 <= eta <= params.m_bands:
-        raise ValueError(f"eta must be in [1, {params.m_bands}], got {eta}")
-    return _su_success(params, (eta,), _passes(params))[0]
 
 
 def su_success_table(params: ChannelParams) -> tuple[float, ...]:

@@ -1,5 +1,6 @@
 import pytest
 
+import specagg.analysis
 from specagg import (
     PowerMode,
     SensingParams,
@@ -12,6 +13,7 @@ from specagg import (
     secondary_service_rate_oracle,
     single_band_service_rate,
     stability_region,
+    su_success_table,
 )
 
 from conftest import error_free_scenario, make_channel, reference_scenario
@@ -95,9 +97,7 @@ def test_oracle_single_band_reduction():
     sensing = SensingParams(p_fa=0.2, p_md=0.1)
     traffic = TrafficParams(0.3, 0.0)
     pi = empty_probability(primary_service_rate(ch, sensing), traffic)
-    from specagg import su_success_prob
-
-    expected = pi * (1 - sensing.p_fa) * su_success_prob(ch, 1)
+    expected = pi * (1 - sensing.p_fa) * su_success_table(ch)[1]
     assert secondary_service_rate_oracle(ch, sensing, traffic) == pytest.approx(
         expected, rel=1e-12
     )
@@ -213,6 +213,20 @@ def test_analyze_bundles_everything():
     assert result.mu_s == pytest.approx(0.475888323349973, rel=1e-12)
     assert result.primary_stable
     assert result.secondary_stable  # 0.3 < mu_s
+
+
+def test_analyze_derives_mu_p_once(monkeypatch):
+    calls = []
+    rate = specagg.analysis.primary_service_rate
+
+    def counted(channel, sensing):
+        calls.append(channel)
+        return rate(channel, sensing)
+
+    monkeypatch.setattr(specagg.analysis, "primary_service_rate", counted)
+    sc = reference_scenario(lambda_s=0.3)
+    analyze(sc.channel, sc.sensing, sc.traffic)
+    assert len(calls) == 1
 
 
 def test_analyze_raises_on_unstable_primary():

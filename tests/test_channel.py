@@ -11,7 +11,6 @@ from specagg import (
     SimConfig,
     pu_success_prob,
     sensing_fraction,
-    su_success_prob,
     su_success_table,
 )
 
@@ -147,36 +146,26 @@ def test_snr_p_must_be_positive(snr_p):
 
 def test_su_success_is_zero_when_sensing_eats_the_slot():
     ch = make_channel(m_bands=40, k_antennas=2, tau_b_frac=0.05)  # 20 passes * 0.05
-    assert su_success_prob(ch, 1) == 0.0
-    assert su_success_prob(ch, 40) == 0.0
     assert su_success_table(ch) == (0.0,) * 41
 
 
-def test_su_success_prob_eta_bounds():
-    ch = make_channel(m_bands=8)
-    with pytest.raises(ValueError, match="eta"):
-        su_success_prob(ch, 0)
-    with pytest.raises(ValueError, match="eta"):
-        su_success_prob(ch, 9)
-
-
-def test_su_success_prob_values():
+def test_su_success_values():
     ch = make_channel(m_bands=8, k_antennas=8)
-    assert su_success_prob(ch, 1) == pytest.approx(0.04705651763492641, rel=1e-12)
+    assert su_success_table(ch)[1] == pytest.approx(0.04705651763492641, rel=1e-12)
     flat = make_channel(m_bands=8, k_antennas=8, tau_b_frac=0.0)
-    assert su_success_prob(flat, 1) == pytest.approx(0.049787068367863944, rel=1e-12)
+    assert su_success_table(flat)[1] == pytest.approx(0.049787068367863944, rel=1e-12)
 
 
-def test_su_success_prob_nondecreasing_in_width_psd():
+def test_su_success_nondecreasing_in_width_psd():
     for m, k, tau in [(13, 8, 0.01), (40, 8, 0.05), (30, 1, 0.0)]:
         ch = make_channel(m_bands=m, k_antennas=k, tau_b_frac=tau)
-        values = [su_success_prob(ch, n) for n in range(1, m + 1)]
+        values = su_success_table(ch)[1:]
         for a, b in zip(values, values[1:]):
             assert b >= a
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 4.0, 8.0])
-def test_su_success_prob_nondecreasing_in_width_limited(c):
+def test_su_success_nondecreasing_in_width_limited(c):
     # tau=0 and one antenna make the required aggregate rate exactly c/width
     ch = make_channel(
         m_bands=100,
@@ -185,7 +174,7 @@ def test_su_success_prob_nondecreasing_in_width_limited(c):
         spectral_eff_r=c,
         power_mode=PowerMode.LIMITED,
     )
-    values = [su_success_prob(ch, n) for n in range(1, 101)]
+    values = su_success_table(ch)[1:]
     for a, b in zip(values, values[1:]):
         assert b >= a - 1e-15
 
@@ -196,9 +185,10 @@ def test_limited_never_beats_psd_and_matches_at_width_one():
         lim = make_channel(
             m_bands=m, k_antennas=k, tau_b_frac=tau, power_mode=PowerMode.LIMITED
         )
-        assert su_success_prob(lim, 1) == su_success_prob(psd, 1)
+        lim_table, psd_table = su_success_table(lim), su_success_table(psd)
+        assert lim_table[1] == psd_table[1]
         for n in range(2, m + 1):
-            assert su_success_prob(lim, n) < su_success_prob(psd, n)
+            assert lim_table[n] < psd_table[n]
 
 
 def test_probabilities_stay_in_unit_interval():
@@ -209,8 +199,7 @@ def test_probabilities_stay_in_unit_interval():
                     snr_s=snr_s, spectral_eff_r=r, tau_b_frac=tau, m_bands=5, k_antennas=2
                 )
                 assert 0.0 <= pu_success_prob(ch) <= 1.0
-                for n in (1, 3, 5):
-                    assert 0.0 <= su_success_prob(ch, n) <= 1.0
+                assert all(0.0 <= s <= 1.0 for s in su_success_table(ch))
 
 
 def exact_link_success(rate: float, snr: float, eta: int = 1) -> float:
@@ -231,24 +220,24 @@ def test_success_is_exact_where_two_to_the_rate_overflows(r, snr):
     psd = make_channel(snr_s=snr, p_bar_p=None, snr_p=snr, **channel)
     want = exact_link_success(r, snr)
     assert pu_success_prob(psd) == pytest.approx(want, rel=1e-12, abs=0)
-    assert su_success_prob(psd, 1) == pytest.approx(want, rel=1e-12, abs=0)
+    assert su_success_table(psd)[1] == pytest.approx(want, rel=1e-12, abs=0)
     limited = make_channel(snr_s=snr, power_mode=PowerMode.LIMITED, **channel)
     for eta in (1, 3):
         want = exact_link_success(r / eta, snr, eta)  # no sensing time
-        assert su_success_prob(limited, eta) == pytest.approx(want, rel=1e-12, abs=0)
+        assert su_success_table(limited)[eta] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_success_where_two_to_the_rate_is_finite_is_the_plain_expression():
     for r, snr in [(1023.9, 1e308), (2.0, 1.0), (20.0, 100.0), (1000.0, 1e300)]:
         ch = make_channel(snr_s=snr, p_bar_p=None, snr_p=snr, spectral_eff_r=r, tau_b_frac=0.0)
         plain = math.exp(-(2.0**r - 1.0) / snr)
-        assert pu_success_prob(ch) == plain and su_success_prob(ch, 1) == plain
+        assert pu_success_prob(ch) == plain and su_success_table(ch)[1] == plain
 
 
 def test_extreme_rate_underflows_to_zero_without_overflow():
     ch = make_channel(m_bands=10, k_antennas=1, tau_b_frac=0.0999, spectral_eff_r=5.0)
     # available time 1 - 0.999 leaves a required rate of 5000 per band
-    assert su_success_prob(ch, 1) == 0.0
+    assert su_success_table(ch)[1] == 0.0
 
 
 @pytest.mark.parametrize("mode", list(PowerMode))
@@ -258,6 +247,11 @@ def test_su_success_table_is_s_of_every_width(m, mode):
     table = su_success_table(scenario.channel)
     assert len(table) == m + 1
     assert table[0] == 0.0
-    assert list(table[1:]) == [su_success_prob(scenario.channel, n) for n in range(1, m + 1)]
+    # s(n) = exp(-eta (2**(r / (n (1 - f))) - 1) / snr), eta = n in LIMITED mode, 1 in PSD
+    ch, f = scenario.channel, sensing_fraction(scenario.channel)
+    for n in range(1, m + 1):
+        eta = n if mode is PowerMode.LIMITED else 1
+        want = math.exp(-eta * (2.0 ** (ch.spectral_eff_r / (n * (1.0 - f))) - 1.0) / ch.snr_s)
+        assert table[n] == pytest.approx(want, rel=1e-12, abs=0)
     cfg = SimConfig(scenario=scenario, mode=Mode.ORIGINAL, slots=1, seed=0)
     assert cfg._success_table == table

@@ -18,6 +18,7 @@ from specagg import (
     SensingParams,
     TrafficParams,
     UnstablePrimaryError,
+    analyze,
     empty_probability,
     optimize_sensed_bands,
     primary_service_rate,
@@ -26,7 +27,6 @@ from specagg import (
     single_band_service_rate,
     sensing_fraction,
     stability_region,
-    su_success_prob,
     su_success_table,
 )
 
@@ -72,7 +72,7 @@ def test_single_band_matches_its_sum_over_idle_band_counts(point):
     m = channel.m_bands
     pi = empty_probability(primary_service_rate(channel, sensing), traffic)
     # eta idle bands, every busy band detected, at least one idle band declared idle
-    by_idle_count = su_success_prob(channel, 1) * sum(
+    by_idle_count = su_success_table(channel)[1] * sum(
         math.comb(m, eta)
         * pi**eta
         * ((1.0 - pi) * (1.0 - sensing.p_md)) ** (m - eta)
@@ -90,11 +90,11 @@ def _exact_rates(channel, sensing, traffic):
     a = pi * (1 - p_fa)
     c = (1 - pi) * (1 - p_md)
     b = pi * p_fa + c
+    success = su_success_table(channel)
     mu_s = sum(
-        math.comb(m, n) * a**n * b ** (m - n) * Fraction(su_success_prob(channel, n))
-        for n in range(1, m + 1)
+        math.comb(m, n) * a**n * b ** (m - n) * Fraction(success[n]) for n in range(1, m + 1)
     )
-    single = Fraction(su_success_prob(channel, 1)) * ((pi + c) ** m - b**m)
+    single = Fraction(success[1]) * ((pi + c) ** m - b**m)
     return mu_s, single
 
 
@@ -142,7 +142,7 @@ def test_closed_forms_stay_finite_at_thousands_of_bands(m):
         # idle, perfectly sensed bands: every band is aggregated with certainty
         free = TrafficParams(0.0, 0.0)
         perfect = SensingParams(0.0, 0.0)
-        assert secondary_service_rate(channel, perfect, free) == su_success_prob(channel, m)
+        assert secondary_service_rate(channel, perfect, free) == su_success_table(channel)[m]
 
 
 def _decimal_mu_s(channel, sensing, traffic) -> decimal.Decimal:
@@ -237,6 +237,7 @@ def test_profile_is_the_closed_form_at_every_band_count(point):
     for m, rate in result.profile:
         assert rate == secondary_service_rate(replace(channel, m_bands=m), sensing, traffic)
     assert result.mu_s_opt == result.profile[result.m_opt - 1][1]
+    assert analyze(*point).mu_s == result.profile[-1][1]
 
 
 @PROPERTY
@@ -380,7 +381,6 @@ def test_array_kernel_is_the_scalar_loop_bit_for_bit(point):
     m = channel.m_bands
     success = [scalar_success(channel, n) for n in range(1, m + 1)]
     assert su_success_table(channel) == (0.0, *success)
-    assert su_success_prob(channel, m) == success[-1]
     assert secondary_service_rate(*point) == scalar_mu_s(*point)
     mu_p = primary_service_rate(channel, sensing)
     grid = [0.0, traffic.lambda_p, mu_p, min(1.0, 2.0 * mu_p + 0.01)]
