@@ -17,40 +17,31 @@ own Lindley recursion q_{t+1} = max(q_t - s_t, 0) + a_t.  Its arrival and
 served bits are packed eight slots to a byte, each byte looks up its path
 through those slots in one 65,536 x 8 byte table (512 KB, built on first
 use), and one cumsum and one maximum.accumulate over the bytes give the
-backlog before each byte, which the table expands into a buffer that the
-caller hands in with the scan's temporary: the backlog before every slot and
-after the last, in int32 while the block's backlogs are sure to fit and in
-int64 otherwise.  Occupancy, the declared-idle set, the aggregate width,
-collisions and secondary successes follow from the queues by bitwise
-operations on boolean arrays, with counts summed in the narrowest unsigned
-dtype that holds them, and the secondary backlog is a second Lindley
-recursion served by those successes.  Every block starts from z = 1, an
-array of ones, and what does not depend on z is computed once per block.
-DOMINANT mode has z = 1 and stops after that pass.  ORIGINAL mode has z_t =
-[q_s > 0 at the start of slot t], which the block itself determines, so it
-repeats the pass with z taken from the previous one until z stops changing.
-Slot t of a pass depends only on z before t, so pass k settles the first k
-slots: a block of n slots reaches the fixed point within n + 1 passes, and
-that fixed point is the causal run.
+backlog before each byte, which the table expands in place into a buffer
+that the caller hands in: the backlog before every slot and after the last,
+in int32 while the block's backlogs are sure to fit and in int64 otherwise.
+Occupancy, the declared-idle set, the aggregate width, collisions and
+secondary successes follow from the queues by bitwise operations on boolean
+arrays, with counts summed in the narrowest unsigned dtype that holds them,
+and the secondary backlog is a second Lindley recursion served by those
+successes.  Every block starts from z = 1, an array of ones, and what does
+not depend on z is computed once per block.  DOMINANT mode has z = 1 and
+stops after that pass.  ORIGINAL mode has z_t = [q_s > 0 at the start of
+slot t], which the block itself determines, so it repeats the pass with z
+taken from the previous one until z stops changing.  Slot t of a pass
+depends only on z before t, so pass k settles the first k slots: a block of
+n slots reaches the fixed point within n + 1 passes, and that fixed point
+is the causal run.
 
-Only the first pass scans every primary queue; each later ORIGINAL pass
-repairs the backlogs of the one before in place.  From z = 1, z can only
-fall: a silent secondary blocks no primary, so with z' <= z every primary
-is served at least as often and its backlog can only fall.  A band that
-empties either made the old pass collide, with no success, or can only
-widen the declared set, so with s(n) nondecreasing the secondary succeeds at
-least as often wherever it is backlogged, its backlog can only fall too,
-and z' <= z holds again in the next pass.  A repaired band stays at or
-below its old backlog and rejoins it by the first slot where the old
-backlog is 0, after which both see the same draws.  So a repair finds the
-busy band-slots that a newly silent secondary frees and rescans each band
-only from there to that slot, or to the block's end, in one segmented
-Lindley scan.  s(n) is nondecreasing in exact arithmetic but need not be to
-the last bit (LIMITED power flattens n (2^(c/n) - 1) at large n), so a
-pass in which z rises anywhere scans every band again; the repair is exact
-whenever no served flag falls, which that guard ensures.  The secondary
-part of every pass (occupancy, the declared set, the width, collisions,
-successes and the secondary's own scan) is recomputed in full.
+Each later ORIGINAL pass scans the primary queues from the bytes of the
+scan before: it finds every byte's code (its packed bits) and start (the
+backlog before it) anew, which costs about two thirds of a full scan, and
+expands only the bytes where either changed.  A byte's eight backlogs
+depend on its code and start alone, so every other byte already holds the
+right ones, whichever way the served flags moved; at the reference point a
+later pass changes 6% of the bytes on average.  The secondary part of every
+pass (occupancy, the declared set, the width, collisions, successes and the
+secondary's own scan) is recomputed in full.
 
 --trace renders a block at a time too: every field of the block's slots
 becomes a column of one (slots, width) byte matrix, with the key text
@@ -61,8 +52,9 @@ and those words are split into four-digit groups by repeated division by
 10 000 and written from a lookup table, with NUL for each leading zero.  The
 five flags are stacked too, each "false" or "true" padded with a NUL.
 Dropping the NULs from the flat matrix leaves the NDJSON lines, which are
-written as bytes.  A run keeps the matrix from block to block while its
-columns keep their widths, so the key text is copied once per layout.
+written as bytes.  A run keeps the matrix and its NUL mask from block to
+block while its columns keep their widths, so the key text is copied once
+per layout.
 
 run() keeps the stream, the blocks, the trace, the backlogs handed on and
 the buffer of every primary scan of the run, which it passes down; a private
@@ -461,14 +453,16 @@ def _byte_paths() -> np.ndarray:
     return table.view(np.uint64).reshape(-1)
 
 
-def _lindley_buffer(q0, arrivals: np.ndarray, service: np.ndarray, scans: dict) -> np.ndarray:
+def _lindley_buffer(q0, arrivals: np.ndarray, service: np.ndarray, scans: dict, before=None):
     """Backlogs of q' = max(q - service, 0) + arrivals along the last axis,
-    as one buffer of n + 1 columns: column t holds the backlog before slot t
-    and column n the one after the last slot.
+    and the scan's bytes, for a later scan of the same rows to pass as before.
 
-    The output and the scan's temporary are views of scans[dtype], grown when
-    too small, so an output lives until the next scan with the same dict; a
-    caller that wants fresh arrays passes {}.
+    The backlogs are a view of n + 1 columns: column t holds the backlog
+    before slot t and column n the one after the last slot.  It is a view of
+    scans[dtype], grown when too small, which holds eight columns for each
+    byte of eight slots and for the byte that holds column n, so an output
+    lives until the next scan with the same dict; a caller that wants fresh
+    arrays passes {}.
 
     Byte j of eight slots takes a backlog r to max(r, w_j) + l_j: l_j is its
     arrivals less its served slots, w_j its path's floor (_byte_paths).
@@ -477,6 +471,14 @@ def _lindley_buffer(q0, arrivals: np.ndarray, service: np.ndarray, scans: dict) 
     slot i.  |T_j| <= n and each term lies in [-n, n + 1], so every value
     the scan holds lies within max(q0) + 2n + 1 of zero: it runs in int32
     whenever that fits below _NARROW_LIMIT and in int64 otherwise.
+
+    The scan's bytes are each byte's code, its packed served and arrival
+    bits, and its start r_j.  A byte's eight columns depend on these alone.
+    So a scan handed as before the bytes of the last scan with the same q0,
+    arrivals and dict, whose output nothing has written to since, finds
+    every code and start anew and expands only the bytes where either
+    changed: every other byte's columns already hold what they would get.
+    That is exact for any service flags.
     """
     q0 = np.asarray(q0)
     n = arrivals.shape[-1]
@@ -487,10 +489,10 @@ def _lindley_buffer(q0, arrivals: np.ndarray, service: np.ndarray, scans: dict) 
     lost = np.packbits(service, axis=-1, bitorder="little")
     code = np.zeros(shape, dtype=np.uint16)
     code[..., : lost.shape[-1]] = lost.astype(np.uint16) << 8 | gained
-    path = _byte_paths().take(code).view(np.uint8)
+    path = _byte_paths().take(code).view(np.uint8).reshape(shape + (8,))
     # from the path before slot 7: w = max(W(7), s_7 - L(7)), since the last
     # slot can still empty the queue, and l = L(7) + a_7 - s_7
-    last = path[..., 7 : 8 * full : 8]
+    last = path[..., :full, 7]
     drop = (lost[..., :full] >> 7).view(np.int8) + 8 - (last & 15).view(np.int8)
     floor = np.maximum((last >> 4).view(np.int8), drop)
     net = (gained[..., :full] >> 7).view(np.int8) - drop
@@ -501,101 +503,23 @@ def _lindley_buffer(q0, arrivals: np.ndarray, service: np.ndarray, scans: dict) 
     np.subtract(floor, total[..., :-1], out=start[..., 1:], dtype=dtype)
     np.maximum.accumulate(start, axis=-1, out=start)
     start += total
-    # the output and a temporary of eight columns per byte, from one buffer
-    sizes = math.prod(shape[:-1]) * (n + 1), math.prod(shape) * 8
-    if len(scans.get(dtype, ())) < sum(sizes):
-        scans[dtype] = np.empty(sum(sizes), dtype=dtype)
-    buffer = scans[dtype]
-    q = buffer[: sizes[0]].reshape(shape[:-1] + (n + 1,))
-    spread = buffer[sizes[0] : sum(sizes)].reshape(shape + (8,))
-    np.maximum(start[..., None], (path >> 4).reshape(spread.shape), out=spread)
-    np.bitwise_and(path, 15, out=path)
-    path -= 8  # L, as int8
-    np.add(spread.reshape(path.shape)[..., : n + 1], path[..., : n + 1].view(np.int8), out=q)
-    return q
-
-
-def _repair_backlogs(
-    backlog: np.ndarray, arrivals: np.ndarray, served: np.ndarray, starts: np.ndarray
-) -> bool:
-    """Rescan a primary backlog buffer in place after served has only grown.
-
-    backlog is the (bands, slots + 1) buffer of _lindley_buffer for the old
-    served flags, and starts holds the flat (bands, slots) positions, in
-    ascending order, of every busy band-slot whose served flag rose.  Each
-    band is scanned again from each start to the old backlog's next zero, or
-    to the end of its row (the module docstring says why that suffices).
-    Returns False, leaving the buffer as it was, when the starts or the
-    rescanned slots are too many for a repair to pay; a full scan then costs
-    less and holds less memory.
-    """
-    if not len(starts):
-        return True
-    size = backlog.size
-    if 32 * len(starts) > size:
-        return False
-    width = backlog.shape[1]
-    flat = backlog.reshape(-1)
-    start = starts + starts // (width - 1)  # the start's column in the flat buffer
-    # the column where each stretch ends, eight columns at a time: a byte
-    # per column, 1 where the backlog is 0 and at each row's last column, is
-    # read as one word from each start's next column, and the start moves on
-    # by the bytes before the word's first 1, or by 8 if it has none
-    idle = np.zeros(size + 8, dtype=bool)
-    np.equal(flat, 0, out=idle[:size])
-    idle[width - 1 : size : width] = True
-    words = np.ndarray(size + 1, dtype="<u8", buffer=idle, strides=(1,))
-    stop = start + 1
-    while True:
-        word = words[stop]
-        # the bits up to the lowest set one (numpy >= 2.0): 8 j + 1 of them
-        # for byte j, 64 for none
-        step = np.bitwise_count(word ^ (word - np.uint64(1))) >> 3
-        stop += step
-        if step.max() < 8:
-            break
-    del words, idle
-    # starts that meet the same zero share one stretch: keep the first
-    first = np.ones(len(stop), dtype=bool)
-    np.not_equal(stop[1:], stop[:-1], out=first[1:])
-    start, stop, starts = start[first], stop[first], starts[first]
-    lengths = stop - start  # the slots scanned again from each stretch's start
-    total = int(lengths.sum())
-    if 8 * total > size:
-        return False
-    # each slot of the stretches, one stretch after another, as the buffer
-    # column of the backlog after it and as its (bands, slots) position,
-    # which lies one column and one band's row behind; the temporaries are
-    # freed as soon as they are used, so that a repair holds less than a
-    # full scan
-    begins = np.cumsum(lengths) - lengths
-    after = np.repeat(start + 1 - begins, lengths)
-    after += np.arange(total)
-    slot = after - np.repeat(start + 1 - starts, lengths)
-    gain = arrivals.reshape(-1)[slot].view(np.int8)
-    # cast after the subtraction: a ufunc that casts its inputs holds a
-    # buffer of the wide type for each of them
-    net = (gain - served.reshape(-1)[slot].view(np.int8)).astype(np.int64)
-    del slot
-    # from backlog q0, a stretch reaches G + max(q0 - B, max(gain - G)) after
-    # each of its slots, where G is the running sum of net and B its value
-    # before the stretch.  Every stretch steps G down by more than the span
-    # of the values of all earlier ones, which is below max(q0) + 2 * total,
-    # so one maximum.accumulate restarts at each.
-    q0 = flat[start]
-    lift = int(q0.max()) + 2 * total + 2
-    if lift * len(begins) >= 1 << 62:
-        return False
-    net[begins] -= lift
-    floor = q0 + net[begins]
-    np.cumsum(net, out=net)
-    floor -= net[begins] - lift
-    scan = gain - net
-    scan[begins] = np.maximum(scan[begins], floor)
-    np.maximum.accumulate(scan, out=scan)
-    scan += net
-    flat[after] = scan
-    return True
+    size = path.size
+    if len(scans.get(dtype, ())) < size:
+        scans[dtype] = np.empty(size, dtype=dtype)
+    q = scans[dtype][:size].reshape(path.shape)
+    if before is None:
+        np.maximum(start[..., None], path >> 4, out=q)
+        np.bitwise_and(path, 15, out=path)
+        path -= 8  # L, as int8
+        q += path.view(np.int8)
+    else:
+        # by row of eight columns: a boolean index over two axes is slower
+        changed = np.flatnonzero((code != before[0]) | (start != before[1]))
+        path = path.reshape(-1, 8)[changed]
+        level = ((path & 15) - 8).view(np.int8)
+        rows = np.maximum(start.reshape(-1, 1)[changed], path >> 4)
+        q.reshape(-1, 8)[changed] = rows + level
+    return q.reshape(shape[:-1] + (-1,))[..., : n + 1], (code, start)
 
 
 class _Block(NamedTuple):
@@ -625,7 +549,7 @@ def _block_pass(
     """Execute a block given the primary backlogs and whether the secondary
     transmits when it can.
 
-    backlog is the (bands, slots + 1) buffer of _lindley_buffer for the
+    backlog holds the (bands, slots + 1) backlogs of _lindley_buffer for the
     served flags, and willing holds, per slot, 1 (DOMINANT) or [q_s > 0 at
     slot start] (ORIGINAL).  The band sets are bitwise: an occupied band is
     declared idle as sense_if_busy says, an empty one as sense_if_idle says.
@@ -639,7 +563,7 @@ def _block_pass(
     collision = su_tx & (draws.sense_if_busy & occupancy).any(axis=0)
     success = su_tx & ~collision & (draws.su_uniform < success_by_width.take(width))
     # a fresh buffer: the secondary's backlogs never share the primaries'
-    secondary = _lindley_buffer(qs0, draws.secondary_arrival, success, {})
+    secondary, _ = _lindley_buffer(qs0, draws.secondary_arrival, success, {})
     qs = secondary[:-1]
     return _Block(
         qp=qp,
@@ -665,10 +589,10 @@ def _run_block(draws: SlotDraws, qp0, qs0, dominant: bool, success_by_width, sca
     pass.  Slot t of a pass depends only on willing before t, so pass k
     settles the first k slots: an ORIGINAL block of n slots reaches the
     fixed point within n + 1 passes, and the fixed point is the causal run.
-    Each pass after the first repairs the primary backlogs of the one before
-    with _repair_backlogs, or scans every band again when willing rose
-    anywhere or the repair declines (see the module docstring).  Both
-    primary scans write into scans, the caller's buffer per dtype.
+    Each pass after the first scans the primaries from the bytes of the
+    scan before, so it expands only the bytes whose code or start changed
+    (_lindley_buffer).  Every primary scan writes into scans, the caller's
+    buffer per dtype.
     """
     # shared by every pass: where occupancy flips the idle verdict, and the
     # served links that a transmitting secondary blocks
@@ -678,23 +602,17 @@ def _run_block(draws: SlotDraws, qp0, qs0, dominant: bool, success_by_width, sca
     # about 20x slower than with another bool array
     willing = np.ones(len(draws.su_uniform), dtype=bool)
     served = draws.pu_channel_ok ^ blocked
-    backlog = _lindley_buffer(qp0, draws.primary_arrivals, served, scans)
+    scanned = None
     while True:
+        backlog, scanned = _lindley_buffer(qp0, draws.primary_arrivals, served, scans, scanned)
         block = _block_pass(draws, flip, backlog, served, willing, qs0, success_by_width)
         if dominant:
             return block
         settled = block.qs > 0
         if np.array_equal(settled, willing):
             return block
+        del block  # freed before the next scan
         served = draws.pu_channel_ok ^ (blocked & settled)
-        # the busy band-slots that a newly silent secondary no longer blocks;
-        # none if the secondary speaks up anywhere
-        rose = (settled > willing).any()
-        starts = None if rose else np.flatnonzero(blocked & block.occupancy & (willing > settled))
-        del block  # a pass keeps only the backlogs of the one before
-        if rose or not _repair_backlogs(backlog, draws.primary_arrivals, served, starts):
-            del backlog, starts  # freed before the scan that replaces them
-            backlog = _lindley_buffer(qp0, draws.primary_arrivals, served, scans)
         willing = settled
 
 
@@ -797,9 +715,10 @@ class _TraceLines:
     A block is rendered as one (slots, width) byte matrix: the key text is
     copied to every row, then each value fills its NUL-padded column.  The
     four band masks are rendered together, as are the five flags.  Dropping
-    the NULs leaves the lines.  The matrix is kept from block to block while
-    the columns keep their widths, so the key text is copied once per
-    layout and a block does not allocate the matrix afresh.
+    the NULs leaves the lines.  The matrix and the mask of its non-NUL bytes
+    are kept from block to block while the columns keep their widths, so
+    the key text is copied once per layout and a block allocates neither
+    afresh.
     """
 
     def __init__(self) -> None:
@@ -842,12 +761,13 @@ class _TraceLines:
             ends = np.cumsum([len(part) for part in parts])
             self._lines = np.empty((n, ends[-1]), dtype=np.uint8)
             self._lines[:] = np.concatenate(parts)
+            self._mask = np.empty(self._lines.size, dtype=bool)
             self._value_ends = ends[1::2]
             self._layout = layout
         for value, end in zip(values, self._value_ends):
             self._lines[:, end - value.shape[1] : end] = value
         flat = self._lines.reshape(-1)
-        return flat[flat != 0]
+        return flat[np.not_equal(flat, 0, out=self._mask)]
 
 
 class _Tally:

@@ -8,10 +8,14 @@ lambda_p up to 0.95 mu_p, lambda_s from U(0.3, 1.2) mu_s and at most 1,
 LIMITED power about 30% of the time, every value rounded to 3 or 4
 decimals, and only points with mu_s >= 1e-3.  Point i runs with seed i for
 max(2000, 100_000 // m) slots, DOMINANT at every point and ORIGINAL as well
-at every third.
+at every third.  The runs are made once per module: they are pinned by a
+digest, and their DOMINANT rates are checked against the closed form.
 """
 
 import hashlib
+
+import numpy as np
+import pytest
 
 from specagg import (
     ChannelParams,
@@ -22,6 +26,7 @@ from specagg import (
     SimConfig,
     TrafficParams,
     run,
+    secondary_service_rate,
 )
 
 PSD, LIMITED = PowerMode.PSD, PowerMode.LIMITED
@@ -97,11 +102,15 @@ def _configs():
             yield SimConfig(scenario, Mode.ORIGINAL, slots, seed)
 
 
-def test_realizations_at_fixed_domain_points_are_pinned():
+@pytest.fixture(scope="module")
+def runs():
+    return [(cfg, run(cfg)) for cfg in _configs()]
+
+
+def test_realizations_at_fixed_domain_points_are_pinned(runs):
     # std_err_mu_s is left out: it is not yet shown to be the same on every CPU
     digest = hashlib.sha256()
-    for cfg in _configs():
-        report = run(cfg)
+    for _, report in runs:
         fields = (
             report.collisions,
             report.arrivals_s,
@@ -113,3 +122,17 @@ def test_realizations_at_fixed_domain_points_are_pinned():
         )
         digest.update(repr(fields).encode())
     assert digest.hexdigest() == REALIZATION_SHA256
+
+
+def test_dominant_rates_lie_within_four_standard_errors_of_the_closed_form(runs):
+    # z of empirical_mu_s against mu_s, in its own batch-means standard
+    # errors: each within 4, and spread as a unit normal's would be
+    z = []
+    for cfg, report in runs:
+        if cfg.mode is Mode.DOMINANT:
+            sc = cfg.scenario
+            mu_s = secondary_service_rate(sc.channel, sc.sensing, sc.traffic)
+            z.append((report.empirical_mu_s - mu_s) / report.std_err_mu_s)
+    assert len(z) == len(DIGEST_POINTS)
+    assert max(map(abs, z)) <= 4, z
+    assert 0.7 <= np.std(z, ddof=1) <= 1.4, z

@@ -423,6 +423,7 @@ def test_trace_renderer_reuses_its_matrix_only_within_one_layout():
         draws = streams.draw_block(n)
         blocks.append((draws, simulate._run_block(draws, np.zeros(9), 0, True, success, {})))
     render = simulate._TraceLines()
+    kept = []  # the line matrix and the NUL mask after each block
     # the same layout with other values, a wider slot column (its numbers
     # cross 10**4), back to the first layout, then fewer slots
     for first, index in ((0, 0), (5_000, 1), (9_800, 0), (0, 1), (0, 2)):
@@ -432,6 +433,11 @@ def test_trace_renderer_reuses_its_matrix_only_within_one_layout():
         assert [json.loads(line)["slot"] for line in got.splitlines()] == list(
             range(first, first + len(block.qs))
         )
+        kept.append((render._lines, render._mask))
+    # one matrix and one mask within a layout, new ones on each change
+    same = [all(a is b for a, b in zip(*pair)) for pair in zip(kept, kept[1:])]
+    assert same == [True, False, False, False]
+    assert all(len(mask) == lines.size for lines, mask in kept)
 
 
 def test_primary_arrival_stream_is_independent_of_secondary_load():
@@ -666,46 +672,42 @@ def test_run_equals_step_reference_through_deep_fixed_points(monkeypatch):
 
 
 def count_kernel_work(monkeypatch) -> Counter:
-    """Count the block passes, the full primary scans, the repairs tried and
-    the repairs that held, from here on."""
+    """Count the block passes, the passes whose willing rose above the pass
+    before's in some slot, the full primary scans and the primary rescans
+    from the bytes of the scan before, from here on."""
     counts = Counter()
-    scan, repair, block_pass = (
-        simulate._lindley_buffer,
-        simulate._repair_backlogs,
-        simulate._block_pass,
-    )
+    scan, block_pass = simulate._lindley_buffer, simulate._block_pass
+    previous = []  # the draws and willing of the last pass
 
-    def counting_scan(*args):
-        counts["scans"] += args[1].ndim == 2  # the secondary's scan is one row
-        return scan(*args)
+    def counting_scan(q0, arrivals, service, scans, before=None):
+        if arrivals.ndim == 2:  # the secondary's scan is one row
+            counts["scans" if before is None else "rescans"] += 1
+        return scan(q0, arrivals, service, scans, before)
 
-    def counting_repair(*args):
-        held = repair(*args)
-        counts["tried"] += 1
-        counts["repairs"] += held
-        return held
-
-    def counting_pass(*args):
+    def counting_pass(draws, flip, backlog, served, willing, *args):
         counts["passes"] += 1
-        return block_pass(*args)
+        if previous and previous[0] is draws:
+            counts["rises"] += bool((willing > previous[1]).any())
+        previous[:] = draws, willing
+        return block_pass(draws, flip, backlog, served, willing, *args)
 
     monkeypatch.setattr(simulate, "_lindley_buffer", counting_scan)
-    monkeypatch.setattr(simulate, "_repair_backlogs", counting_repair)
     monkeypatch.setattr(simulate, "_block_pass", counting_pass)
     return counts
 
 
 @pytest.mark.parametrize("mode", list(Mode))
-def test_later_passes_repair_instead_of_scanning(monkeypatch, mode):
-    # one full primary scan per block; every later ORIGINAL pass repairs it,
-    # and DOMINANT mode stops after its one pass
+def test_later_passes_rescan_from_the_bytes_before(monkeypatch, mode):
+    # one full primary scan per block; every later ORIGINAL pass hands the
+    # scan the bytes of the one before, and DOMINANT mode stops after its
+    # one pass
     blocks = 3
     scenario = reference_scenario(lambda_s=0.3)
     cfg = SimConfig(scenario=scenario, mode=mode, slots=blocks * simulate._block_slots(13), seed=1)
     counts = count_kernel_work(monkeypatch)
     run(cfg)
     assert counts["scans"] == blocks
-    assert counts["repairs"] == counts["passes"] - blocks
+    assert counts["rescans"] == counts["passes"] - blocks
     assert counts["passes"] > blocks if mode is Mode.ORIGINAL else counts["passes"] == blocks
 
 
@@ -724,17 +726,13 @@ def falling_success_config(slots: int) -> SimConfig:
 
 @pytest.mark.parametrize("block, slots", [(1, 700), (7, 700), (None, 2 * REAL_BLOCK_SLOTS(5) + 100)])
 def test_run_equals_step_reference_when_willing_rises(monkeypatch, block, slots):
-    # where willing rises a pass scans every band again without trying a
-    # repair; a block of one slot settles in its second pass, before willing
-    # can rise
+    # willing rises in some pass, so some served flags fall; a block of one
+    # slot settles in its second pass, before willing can rise
     cfg = falling_success_config(slots)
     monkeypatch.setattr(simulate, "_block_slots", REAL_BLOCK_SLOTS if block is None else lambda m: block)
     counts = count_kernel_work(monkeypatch)
     assert_same_report(run(cfg), reference_run(cfg))
-    blocks = -(-slots // (block or REAL_BLOCK_SLOTS(5)))
-    guarded = counts["passes"] - blocks - counts["tried"]
-    assert guarded > 0 if block != 1 else guarded == 0
-    assert counts["scans"] == blocks + guarded + counts["tried"] - counts["repairs"]
+    assert counts["rises"] > 0 if block != 1 else counts["rises"] == 0
 
 
 @pytest.mark.parametrize("m_bands, slots", [(40, 3_500), (13, 5_100), (1, 65_600)])
@@ -797,8 +795,24 @@ def test_run_conserves_secondary_packets(monkeypatch, case, extra_slots, block):
 
 def lindley(q0, arrivals, service):
     """The backlogs before every slot and after the last, from a fresh buffer."""
-    q = simulate._lindley_buffer(q0, arrivals, service, {})
+    q, _ = simulate._lindley_buffer(q0, arrivals, service, {})
     return q[..., :-1], q[..., -1]
+
+
+def lindley_rescan(q0, arrivals, service, again):
+    """The backlogs for the service flags again, scanned from the bytes of a
+    scan for service into the same buffer, and the share of bytes changed."""
+    scans = {}
+    _, before = simulate._lindley_buffer(q0, arrivals, service, scans)
+    q, after = simulate._lindley_buffer(q0, arrivals, again, scans, before)
+    changed = (after[0] != before[0]) | (after[1] != before[1])
+    return q[..., :-1], q[..., -1], float(changed.mean())
+
+
+def flip_sparsely(service):
+    """service with every 23rd slot flipped, up to and including the last."""
+    n = service.shape[-1]
+    return service ^ (np.arange(n) % 23 == (n - 1) % 23)
 
 
 def lindley_reference(q0: int, arrivals, service) -> tuple[list[int], int]:
@@ -824,6 +838,7 @@ def lindley_reference(q0: int, arrivals, service) -> tuple[list[int], int]:
 def test_lindley_matches_the_recursion(q0, dtype):
     rng = np.random.default_rng(q0 % 1000)
     n = 300
+    rose = fell = kept = False  # over the rescans below
     for p_arrival, p_service in ((0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (0.2, 0.7)):
         arrivals = rng.random(n) < p_arrival
         service = rng.random(n) < p_service
@@ -841,6 +856,19 @@ def test_lindley_matches_the_recursion(q0, dtype):
         for b in range(bands):
             want = lindley_reference(q0s[b], arrivals[b], service[b])
             assert (start[b].tolist(), int(end[b])) == want
+
+        # a rescan from the bytes of that scan, with served flags that rise,
+        # fall or both
+        again = flip_sparsely(service)
+        start, end, changed = lindley_rescan(q0s, arrivals, service, again)
+        assert start.dtype == dtype and changed > 0
+        for b in range(bands):
+            want = lindley_reference(q0s[b], arrivals[b], again[b])
+            assert (start[b].tolist(), int(end[b])) == want
+        rose |= bool((again > service).any())
+        fell |= bool((again < service).any())
+        kept |= changed < 1
+    assert rose and fell and kept
 
 
 @pytest.mark.parametrize("n", [*range(1, 18), 5_041])
@@ -863,6 +891,14 @@ def test_lindley_matches_the_recursion_at_every_byte_edge(n):
         for b in (0, 2, 3):
             start, end = lindley(q0s[b], arrivals[b], service[b])
             assert start.dtype == dtype and (start.tolist(), int(end)) == want[b]
+        # a rescan from the bytes of that scan: every row's last slot and
+        # every 23rd before it flip, so the all-service rows lose served
+        # slots and the no-service rows gain them
+        again = flip_sparsely(service)
+        want = [lindley_reference(*row) for row in zip(q0s, arrivals, again)]
+        start, end, _ = lindley_rescan(q0s, arrivals, service, again)
+        assert start.dtype == dtype
+        assert [(s.tolist(), int(e)) for s, e in zip(start, end)] == want
 
 
 def test_byte_paths_match_the_slot_recursion():
